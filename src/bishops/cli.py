@@ -98,6 +98,8 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
     q = args.q
     if q < 1:
         raise ValueError("q must be at least 1")
+    if args.holdout < 1:
+        raise ValueError("holdout must be at least 1")
     period = args.period
     degree = 2 * q
     top = degree * period

@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Every rank, determinant, inverse, and linear solve in this package goes
-through these routines.  Matrices are lists of rows of
-:class:`fractions.Fraction` (integer entries are accepted and converted),
-and elimination picks the first nonzero pivot in each column, so results
-are deterministic and bit-identical between runs.  No floating point.
+Every rank, determinant, inverse, and linear solve of the geometry and
+signed-graph code goes through these routines; interpolation has its own
+Newton kernel in :mod:`bishops.quasipoly`.  Matrices are lists of rows
+of :class:`fractions.Fraction` (integer entries are accepted and
+converted), and elimination picks the first nonzero pivot in each
+column, so results are deterministic and bit-identical between runs.
+No floating point.
 """
 
 from __future__ import annotations

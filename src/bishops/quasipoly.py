@@ -4,7 +4,9 @@ A quasipolynomial of period p is a list of p ordinary polynomials
 ("constituents"); the one used at integer n is selected by the least
 nonnegative residue of n mod p, which keeps evaluation well defined at
 zero and negative arguments.  Interpolation recovers constituents from
-exact integer samples by elimination, one residue class at a time.
+exact integer samples one residue class at a time: Newton divided
+differences on the first unknowns samples, the rest checked by
+evaluation.
 """
 
 from __future__ import annotations
@@ -12,12 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from . import linalg
 from .counting import count_bishops_fast
-
-Rational = Fraction
 
 
 class InterpolationError(ValueError):
@@ -40,6 +39,15 @@ class InsufficientSamplesError(InterpolationError):
 class InconsistentSamplesError(InterpolationError):
     """An overdetermined system has no solution, so the degree or period
     hypothesis is wrong for the data."""
+
+
+def _smallest_period(values: Sequence) -> int:
+    """Smallest divisor p of len(values) with values[r] == values[r % p]
+    for every r; len(values) itself always qualifies."""
+    period = len(values)
+    return next(p for p in range(1, period + 1)
+                if period % p == 0
+                and all(values[r] == values[r % p] for r in range(period)))
 
 
 @dataclass(frozen=True)
@@ -83,15 +91,10 @@ class Quasipolynomial:
     def minimize_period(self) -> "Quasipolynomial":
         """Equal quasipolynomial with the smallest period that still
         reproduces every constituent."""
-        for p in range(1, self.period + 1):
-            if self.period % p != 0:
-                continue
-            if all(self.constituents[r] == self.constituents[r % p]
-                   for r in range(self.period)):
-                if p == self.period:
-                    return self
-                return Quasipolynomial(p, self.degree, self.constituents[:p])
-        raise AssertionError("a period always divides itself")
+        p = _smallest_period(self.constituents)
+        if p == self.period:
+            return self
+        return Quasipolynomial(p, self.degree, self.constituents[:p])
 
     def verify_against(self, samples: Mapping[int, int]) -> bool:
         """True iff evaluation matches every sample exactly."""
@@ -101,16 +104,8 @@ class Quasipolynomial:
         """Smallest period of each coefficient sequence gamma_i(n),
         i = 0..degree.  Observational; nothing in the package depends
         on these values."""
-        periods = []
-        for i in range(self.degree + 1):
-            for p in range(1, self.period + 1):
-                if self.period % p != 0:
-                    continue
-                if all(self.constituents[r][i] == self.constituents[r % p][i]
-                       for r in range(self.period)):
-                    periods.append(p)
-                    break
-        return periods
+        return [_smallest_period([row[i] for row in self.constituents])
+                for i in range(self.degree + 1)]
 
     def to_json_dict(self) -> dict:
         return {
@@ -155,14 +150,47 @@ class Quasipolynomial:
         return "\n".join(lines)
 
 
+def _newton_fit(points: list[tuple[int, Fraction]],
+                unknowns: int) -> list[Fraction] | None:
+    """Coefficients, highest power first, of the polynomial with
+    ``unknowns`` coefficients through the first ``unknowns`` points, by
+    Newton divided differences; None when a later point misses it.
+
+    Keys must be distinct.  A polynomial through that many distinct
+    points is unique, so the remaining points decide consistency.
+    """
+    xs = [n for n, _ in points[:unknowns]]
+    differences = [value for _, value in points[:unknowns]]
+    for k in range(1, unknowns):
+        for i in range(unknowns - 1, k - 1, -1):
+            differences[i] = ((differences[i] - differences[i - 1])
+                              / (xs[i] - xs[i - k]))
+    # Horner on the Newton form: p = d_k + (x - x_k) * p, k descending
+    coefficients: list[Fraction] = []
+    for k in range(unknowns - 1, -1, -1):
+        shifted = coefficients + [differences[k]]
+        for j in range(1, len(shifted)):
+            shifted[j] -= xs[k] * coefficients[j - 1]
+        coefficients = shifted
+    for n, value in points[unknowns:]:
+        fitted = Fraction(0)
+        for coefficient in coefficients:
+            fitted = fitted * n + coefficient
+        if fitted != value:
+            return None
+    return coefficients
+
+
 def interpolate(samples: Mapping[int, int], degree: int, period: int,
                 leading: Fraction | None = None) -> Quasipolynomial:
     """The unique quasipolynomial of this degree and period through the
-    samples, solved exactly per residue class.
+    samples, fitted exactly per residue class by Newton divided
+    differences on the first ``unknowns`` samples of the class (in
+    increasing n), the rest checked by evaluation.
 
     With ``leading`` supplied, gamma_0 is fixed in advance and each class
     needs only ``degree`` samples instead of degree + 1.  Extra samples
-    overdetermine the system; any contradiction raises
+    overdetermine the fit; any contradiction raises
     InconsistentSamplesError instead of being averaged away.
     """
     if period < 1:
@@ -174,34 +202,23 @@ def interpolate(samples: Mapping[int, int], degree: int, period: int,
             raise ValueError("sample keys must be positive integers")
     items = sorted(samples.items())
     unknowns = degree + 1 if leading is None else degree
+    top = None if leading is None else Fraction(leading)
     constituents = []
     for r in range(period):
-        points = [(n, value) for n, value in items if n % period == r]
+        points = [(n, Fraction(value)) for n, value in items
+                  if n % period == r]
         if len(points) < unknowns:
             raise InsufficientSamplesError(r, period, unknowns, len(points))
-        rows = []
-        rhs = []
-        for n, value in points:
-            if leading is None:
-                rows.append([Fraction(n) ** (degree - i) for i in range(degree + 1)])
-                rhs.append(Fraction(value))
-            else:
-                rows.append([Fraction(n) ** (degree - i) for i in range(1, degree + 1)])
-                rhs.append(Fraction(value) - Fraction(leading) * Fraction(n) ** degree)
-        solution = linalg.solve(rows, rhs)
-        if solution.status == linalg.INCONSISTENT:
+        if top is not None:
+            points = [(n, value - top * n ** degree) for n, value in points]
+        coefficients = _newton_fit(points, unknowns)
+        if coefficients is None:
             raise InconsistentSamplesError(
                 f"samples in residue class {r} (mod {period}) admit no "
                 f"degree-{degree} polynomial; the degree or period "
                 f"hypothesis is wrong")
-        if solution.status != linalg.UNIQUE:
-            # distinct positive keys give the Vandermonde block full
-            # column rank, so this cannot happen with valid input
-            raise InterpolationError(
-                f"residue class {r} (mod {period}) is underdetermined")
-        coefficients = solution.point
-        if leading is not None:
-            coefficients = [Fraction(leading)] + coefficients
+        if top is not None:
+            coefficients = [top] + coefficients
         constituents.append(tuple(coefficients))
     return Quasipolynomial(period, degree, tuple(constituents))
 

@@ -114,6 +114,15 @@ def test_interpolate_rejects_bad_q(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("holdout", ["0", "-3"])
+def test_interpolate_rejects_vacuous_holdout(capsys, holdout):
+    code, out, err = run(capsys, "interpolate", "-q", "2",
+                         "--holdout", holdout)
+    assert code == 2
+    assert out == ""
+    assert err == "error: holdout must be at least 1\n"
+
+
 def test_verify_period(capsys):
     for q, lcm_text in ((1, "1"), (2, "1"), (3, "2")):
         code, out, _ = run(capsys, "verify-period", "-q", str(q))

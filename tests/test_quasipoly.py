@@ -15,6 +15,7 @@ from bishops import (
     count_bishops_fast,
     interpolate,
     interpolate_bishops,
+    linalg,
 )
 
 F = Fraction
@@ -64,7 +65,7 @@ def test_minimize_period_preserves_values_and_is_idempotent():
     minimized = quasi.minimize_period()
     for n in range(-10 * quasi.period, 10 * quasi.period + 1):
         assert quasi.evaluate(n) == minimized.evaluate(n)
-    assert minimized.minimize_period() == minimized
+    assert minimized.minimize_period() is minimized
 
 
 def test_verify_against():
@@ -106,6 +107,97 @@ def test_interpolation_recovers_planted_quasipolynomial(even, odd):
     samples = {n: planted.evaluate(n) for n in range(1, 13)}
     recovered = interpolate(samples, 2, 2)
     assert recovered == planted
+
+
+def vandermonde_oracle(samples, degree, period, leading):
+    """Per-class dense Vandermonde solve by elimination: an independent
+    route to interpolate's answer, or None when some class is
+    inconsistent."""
+    first = 0 if leading is None else 1
+    constituents = []
+    for r in range(period):
+        points = [(n, F(v)) for n, v in samples.items() if n % period == r]
+        rows = [[F(n) ** (degree - i) for i in range(first, degree + 1)]
+                for n, _ in points]
+        rhs = [v if leading is None else v - leading * F(n) ** degree
+               for n, v in points]
+        solution = linalg.solve(rows, rhs)
+        if solution.status == linalg.INCONSISTENT:
+            return None
+        assert solution.status == linalg.UNIQUE
+        head = [] if leading is None else [leading]
+        constituents.append(tuple(head + solution.point))
+    return Quasipolynomial(period, degree, tuple(constituents))
+
+
+@st.composite
+def planted_samples(draw):
+    """Samples of a random rational quasipolynomial at shuffled,
+    irregularly spaced keys, 0-3 beyond the minimum per class, with at
+    most one extra sample corrupted."""
+    period = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 6))
+    leading = draw(st.none() | coefficient)
+    width = degree + 1
+    rows = [draw(st.lists(coefficient, min_size=width, max_size=width))
+            for _ in range(period)]
+    if leading is not None:
+        rows = [[leading] + row[1:] for row in rows]
+    planted = Quasipolynomial(period, degree, tuple(map(tuple, rows)))
+    unknowns = width if leading is None else degree
+    keys = []
+    for r in range(period):
+        size = unknowns + draw(st.integers(0, 3))
+        steps = draw(st.lists(st.integers(1, 30), min_size=size,
+                              max_size=size, unique=True))
+        keys += [period * m + r for m in steps]
+    keys = draw(st.permutations(keys))
+    samples = {n: planted.evaluate(n) for n in keys}
+    if keys and draw(st.booleans()):
+        samples[draw(st.sampled_from(keys))] += 1
+    return samples, degree, period, leading
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_samples())
+def test_interpolation_matches_vandermonde_oracle(case):
+    samples, degree, period, leading = case
+    expected = vandermonde_oracle(samples, degree, period, leading)
+    if expected is None:
+        with pytest.raises(InconsistentSamplesError):
+            interpolate(samples, degree, period, leading=leading)
+    else:
+        assert interpolate(samples, degree, period,
+                           leading=leading) == expected
+
+
+def test_degree_zero_with_leading_needs_no_samples():
+    # zero unknowns: an empty class is fine, and every sample must
+    # equal the leading coefficient
+    quasi = interpolate({2: F(3), 6: F(3)}, 0, 2, leading=F(3))
+    assert quasi.constituents == ((F(3),), (F(3),))
+    with pytest.raises(InconsistentSamplesError):
+        interpolate({2: F(3), 5: F(4)}, 0, 2, leading=F(3))
+
+
+SQUARE_MISMATCH = ("samples in residue class 0 (mod 1) admit no degree-2 "
+                   "polynomial; the degree or period hypothesis is wrong")
+
+
+def test_corrupted_extra_sample_between_correct_ones():
+    samples = {n: n ** 2 for n in range(1, 7)}
+    samples[5] += 1  # after the fitted 1, 2, 3 and between 4 and 6
+    with pytest.raises(InconsistentSamplesError) as info:
+        interpolate(samples, 2, 1)
+    assert str(info.value) == SQUARE_MISMATCH
+
+
+def test_corrupted_sample_among_fitted_ones():
+    samples = {n: n ** 2 for n in range(1, 7)}
+    samples[2] -= 1  # one of the three points the fit passes through
+    with pytest.raises(InconsistentSamplesError) as info:
+        interpolate(samples, 2, 1)
+    assert str(info.value) == SQUARE_MISMATCH
 
 
 def test_interpolation_with_known_leading():
