@@ -7,7 +7,7 @@ from __future__ import annotations
 from random import Random
 
 from .geometry import Fixation
-from .signed_graph import NEGATIVE, POSITIVE, SignedGraph, clique_graph
+from .signed_graph import NEGATIVE, POSITIVE, SignedGraph, _UnionFind, clique_graph
 
 
 def random_signed_graph(rng: Random, *, max_q: int = 8,
@@ -92,22 +92,13 @@ def random_clique_solve_instance(
     graph = random_signed_graph(rng, max_q=max_q, max_edges=max_q + 3)
     clique = clique_graph(graph)
     n_pos = len(clique.pos)
-    parent = list(range(n_pos + len(clique.neg)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    forest = _UnionFind(n_pos + len(clique.neg))
     pieces = list(range(1, graph.q + 1))
     rng.shuffle(pieces)
     tree_pieces: list[int] = []
     for piece in pieces:
         k, l = clique.edges[piece - 1]
-        ra, rb = find(k), find(n_pos + l)
-        if ra != rb:
-            parent[rb] = ra
+        if forest.union(k, n_pos + l):
             tree_pieces.append(piece)
     # every clique node is an endpoint of some piece edge, so the tree
     # pieces span all clique nodes; doubling one piece per component
@@ -115,7 +106,7 @@ def random_clique_solve_instance(
     doubled: set[int] = set()
     seen_roots: set[int] = set()
     for piece in tree_pieces:
-        root = find(clique.edges[piece - 1][0])
+        root = forest.find(clique.edges[piece - 1][0])
         if root not in seen_roots:
             seen_roots.add(root)
             doubled.add(piece)

@@ -2,8 +2,13 @@
 
 Subcommands: count, interpolate, verify-period, vertices, graph, check.
 Output defaults to a human-readable form; --format json (and csv for
-count) produces machine-readable output.  The exit status is 0 exactly
-when everything the command verified came out true.
+count) produces machine-readable output.  Exit status:
+
+0  everything the command verified came out true;
+1  a verification failed (FAIL is printed on stdout);
+2  the input was rejected: one ``error:`` line on stderr;
+3  an internal invariant was violated: a traceback and one
+   ``internal error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -11,8 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
-from math import factorial
 from pathlib import Path
 from random import Random
 
@@ -33,6 +38,7 @@ from .counting import (
 )
 from .geometry import (
     Fixation,
+    _sign_class_rank,
     denominator_lcm,
     enumerate_lattice_vertices,
     period_upper_bound,
@@ -41,8 +47,9 @@ from .geometry import (
     verify_half_integrality,
     vertices_to_json,
 )
-from .quasipoly import interpolate, interpolate_bishops
+from .quasipoly import interpolate_bishops
 from .signed_graph import (
+    NEGATIVE,
     POSITIVE,
     clique_graph,
     components,
@@ -76,10 +83,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         n_from = n_to = args.n
     else:
         n_from, n_to = _parse_range(args.n_range)
-    method = args.method
-    if method == "auto":
-        method = "fast" if rider.moves == BISHOP.moves else "naive"
-    table = sample_counts(rider, args.q, n_from, n_to, method,
+    table = sample_counts(rider, args.q, n_from, n_to, args.method,
                           node_budget=args.budget)
     if args.format == "json":
         print(table.to_json())
@@ -100,21 +104,14 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
         raise ValueError("q must be at least 1")
     if args.holdout < 1:
         raise ValueError("holdout must be at least 1")
-    period = args.period
-    degree = 2 * q
-    top = degree * period
-    if rider.moves == BISHOP.moves:
-        def counter(n: int) -> int:
-            return count_bishops_fast(q, n)
-    else:
-        def counter(n: int) -> int:
-            return count_unlabelled_naive(rider, q, n, node_budget=args.budget)
-    samples = {n: counter(n) for n in range(1, top + 1)}
-    quasi = interpolate(samples, degree, period,
-                        leading=Fraction(1, factorial(q)))
+    quasi = interpolate_bishops(q, period=args.period, rider=rider,
+                                node_budget=args.budget)
+    degree = quasi.degree
+    top = degree * quasi.period
     minimized = quasi.minimize_period()
-    holdout = {n: counter(n) for n in range(top + 1, top + 1 + args.holdout)}
-    holdout_ok = quasi.verify_against(holdout)
+    holdout = sample_counts(rider, q, top + 1, top + args.holdout,
+                            node_budget=args.budget)
+    holdout_ok = quasi.verify_against(holdout.entries)
     at_minus_one = minimized.evaluate(-1)
     if args.format == "json":
         payload = {
@@ -242,10 +239,8 @@ def _check_signed_graphs(rng: Random, trials: int) -> str | None:
         if by_balance != by_matrix:
             return f"rank mismatch on {graph}: {by_balance} vs {by_matrix}"
         pos, neg = signed_cliques(graph)
-        fplus = graph.q - len(components(
-            type(graph)(graph.q, tuple(e for e in graph.edges if e[2] == POSITIVE))))
-        fminus = graph.q - len(components(
-            type(graph)(graph.q, tuple(e for e in graph.edges if e[2] != POSITIVE))))
+        fplus = _sign_class_rank(graph, POSITIVE)
+        fminus = _sign_class_rank(graph, NEGATIVE)
         if len(pos) + len(neg) != 2 * graph.q - fplus - fminus:
             return f"clique count identity fails on {graph}"
         reduced = irredundant_reduction(graph)
@@ -283,6 +278,8 @@ def _check_clique_solves(rng: Random, trials: int) -> str | None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if min(args.spot, args.graphs, args.matrices, args.solves) < 0:
+        raise ValueError("trial counts must be nonnegative")
     rng = Random(args.seed)
     suites = [
         ("counter agreement", _check_counters, args.spot),
@@ -384,6 +381,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, SearchBudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        traceback.print_exc()
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -12,23 +12,29 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import factorial
 
 from .board import BISHOP, Rider, Square, attacks
 
 DEFAULT_NODE_BUDGET = 10**9
-THREADS_ENV_VAR = "BISHOPS_THREADS"
 
 
 class SearchBudgetExceeded(RuntimeError):
     """The naive oracle visited more search nodes than its budget allows."""
 
 
-def _is_bishop(rider: Rider) -> bool:
-    return rider.moves == BISHOP.moves
+def _resolve_method(rider: Rider, method: str) -> str:
+    """The counter to use, "fast" or "naive"; "auto" picks the fast
+    counter for the bishop and the naive oracle otherwise."""
+    is_bishop = rider.moves == BISHOP.moves
+    if method == "auto":
+        return "fast" if is_bishop else "naive"
+    if method not in ("naive", "fast"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "fast" and not is_bishop:
+        raise ValueError("the fast counter applies only to the bishop")
+    return method
 
 
 def count_unlabelled_naive(rider: Rider, q: int, n: int,
@@ -119,15 +125,9 @@ def count_unlabelled(rider: Rider, q: int, n: int, *, method: str = "auto",
                      node_budget: int = DEFAULT_NODE_BUDGET) -> int:
     """u(q; n) by the requested method; "auto" picks the fast counter for
     the bishop and the naive oracle otherwise."""
-    if method == "auto":
-        method = "fast" if _is_bishop(rider) else "naive"
-    if method == "fast":
-        if not _is_bishop(rider):
-            raise ValueError("the fast counter applies only to the bishop")
+    if _resolve_method(rider, method) == "fast":
         return count_bishops_fast(q, n)
-    if method == "naive":
-        return count_unlabelled_naive(rider, q, n, node_budget=node_budget)
-    raise ValueError(f"unknown method {method!r}")
+    return count_unlabelled_naive(rider, q, n, node_budget=node_budget)
 
 
 def count_labelled(rider: Rider, q: int, n: int, *, method: str = "auto",
@@ -168,33 +168,18 @@ class CountTable:
 
 
 def sample_counts(rider: Rider, q: int, n_from: int, n_to: int,
-                  method: str = "naive", *,
-                  node_budget: int = DEFAULT_NODE_BUDGET,
-                  threads: int | None = None) -> CountTable:
-    """Count table for every n in n_from..n_to inclusive.
+                  method: str = "auto", *,
+                  node_budget: int = DEFAULT_NODE_BUDGET) -> CountTable:
+    """Count table for every n in n_from..n_to inclusive, one board size
+    after another.
 
-    Board sizes are independent, so they may be evaluated by a thread
-    pool (``threads`` argument, else the BISHOPS_THREADS environment
-    variable); results are identical to sequential evaluation either way.
+    ``method`` is resolved as in :func:`count_unlabelled`; the table
+    records the resolved method, "fast" or "naive".
     """
     if not 0 <= n_from <= n_to:
         raise ValueError("need 0 <= n_from <= n_to")
-    if method not in ("naive", "fast"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "fast" and not _is_bishop(rider):
-        raise ValueError("the fast counter applies only to the bishop")
-    if threads is None:
-        threads = int(os.environ.get(THREADS_ENV_VAR, "1"))
-
-    def count_one(n: int) -> int:
-        if method == "fast":
-            return count_bishops_fast(q, n)
-        return count_unlabelled_naive(rider, q, n, node_budget=node_budget)
-
-    sizes = range(n_from, n_to + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(count_one, sizes))
-    else:
-        values = [count_one(n) for n in sizes]
-    return CountTable(rider.name, q, method, dict(zip(sizes, values)))
+    method = _resolve_method(rider, method)
+    entries = {n: count_unlabelled(rider, q, n, method=method,
+                                   node_budget=node_budget)
+               for n in range(n_from, n_to + 1)}
+    return CountTable(rider.name, q, method, entries)

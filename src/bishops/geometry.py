@@ -24,6 +24,7 @@ from .signed_graph import (
     SignedGraph,
     clique_graph,
     components,
+    double_signed,
     incidence_matrix,
     is_negative_one_forest,
 )
@@ -93,6 +94,17 @@ def _sign_class_rank(graph: SignedGraph, sign: int) -> int:
     return graph.q - len(components(subgraph))
 
 
+def _two_route_ranks(subset: Sequence[BishopHyperplane],
+                     q: int) -> tuple[int, int]:
+    """(exact rank of the stacked normals, sum of the two sign-class
+    forest ranks of the mirror signed graph)."""
+    normals = [hyperplane_normal(h, q) for h in subset]
+    matrix_rank = linalg.rank(normals) if normals else 0
+    graph = subset_signed_graph(subset, q)
+    return matrix_rank, (_sign_class_rank(graph, POSITIVE)
+                         + _sign_class_rank(graph, NEGATIVE))
+
+
 def codim_of_subset(subset: Iterable[BishopHyperplane], q: int) -> int:
     """Codimension of the intersection of the subset, computed both as
     the exact rank of the stacked normals and as the sum of the two
@@ -101,12 +113,7 @@ def codim_of_subset(subset: Iterable[BishopHyperplane], q: int) -> int:
     The two routes must agree; a mismatch is a build-stopping bug, not a
     recoverable condition.
     """
-    hyperplanes = list(subset)
-    normals = [hyperplane_normal(h, q) for h in hyperplanes]
-    matrix_rank = linalg.rank(normals) if normals else 0
-    graph = subset_signed_graph(hyperplanes, q)
-    graph_rank = (_sign_class_rank(graph, POSITIVE)
-                  + _sign_class_rank(graph, NEGATIVE))
+    matrix_rank, graph_rank = _two_route_ranks(list(subset), q)
     if matrix_rank != graph_rank:
         raise AssertionError(
             f"codimension mismatch for q={q}: matrix rank {matrix_rank}, "
@@ -127,11 +134,7 @@ def matroid_check(q: int, *, bound: int = 4) -> bool:
     arrangement = move_arrangement(q)
     for size in range(len(arrangement) + 1):
         for subset in combinations(arrangement, size):
-            normals = [hyperplane_normal(h, q) for h in subset]
-            matrix_rank = linalg.rank(normals) if normals else 0
-            graph = subset_signed_graph(subset, q)
-            graph_rank = (_sign_class_rank(graph, POSITIVE)
-                          + _sign_class_rank(graph, NEGATIVE))
+            matrix_rank, graph_rank = _two_route_ranks(subset, q)
             if matrix_rank != graph_rank:
                 return False
     return True
@@ -275,6 +278,17 @@ def _require(condition: bool, message: str) -> None:
         raise AssertionError(message)
 
 
+def _solve_transpose(graph: SignedGraph,
+                     rhs: Sequence[int | Fraction]) -> list[Fraction]:
+    """Exact solution of H(graph)^T w = rhs for a graph the caller has
+    already recognized as a negative 1-forest."""
+    transposed = [list(column) for column in zip(*incidence_matrix(graph))]
+    solution = linalg.solve(transposed, list(rhs))
+    _require(solution.status == linalg.UNIQUE,
+             "a negative 1-forest must give a nonsingular system")
+    return solution.point
+
+
 def solve_via_clique_graph(graph: SignedGraph,
                            fixations: Sequence[Fixation]) -> CliqueSolution:
     """Reconstruct the point pinned by a signed graph's equalities plus
@@ -293,28 +307,21 @@ def solve_via_clique_graph(graph: SignedGraph,
     """
     clique = clique_graph(graph)
     n_pos = len(clique.pos)
-    n_cliques = n_pos + len(clique.neg)
-    psi_edges = []
     for fixation in fixations:
         if not 1 <= fixation.index <= graph.q:
             raise ValueError(
                 f"fixation {fixation.coordinate} is outside 1..{graph.q}")
-        k, l = clique.edges[fixation.index - 1]
-        sign = POSITIVE if fixation.axis == "x" else NEGATIVE
-        psi_edges.append((k + 1, n_pos + l + 1, sign))
-    psi = SignedGraph(n_cliques, tuple(psi_edges))
+    # the doubled clique graph lists piece i's x edge, then its y edge,
+    # in the same order as the coordinates
+    doubled = double_signed(clique)
+    psi = SignedGraph(doubled.q, tuple(doubled.edges[fixation.position()]
+                                       for fixation in fixations))
     if not is_negative_one_forest(psi):
         raise SingularFixationError(
             "the fixation edges must form a spanning negative 1-forest "
             "of the doubled clique graph; M would be singular")
-    matrix = incidence_matrix(psi)
-    transposed = [[matrix[r][c] for r in range(n_cliques)]
-                  for c in range(len(psi_edges))]
-    rhs = [2 * Fraction(fixation.value) for fixation in fixations]
-    solution = linalg.solve(transposed, rhs)
-    _require(solution.status == linalg.UNIQUE,
-             "a negative 1-forest must give a nonsingular system")
-    values = solution.point
+    values = _solve_transpose(
+        psi, [2 * Fraction(fixation.value) for fixation in fixations])
     a = tuple(values[:n_pos])
     b = tuple(values[n_pos:])
     _require(all(v.denominator == 1 for v in values),
@@ -352,13 +359,7 @@ def solve_incidence_transpose(graph: SignedGraph,
         raise ValueError("need one right-hand side entry per edge")
     if not is_negative_one_forest(graph):
         raise SingularFixationError("the incidence matrix is singular")
-    matrix = incidence_matrix(graph)
-    transposed = [[matrix[r][c] for r in range(graph.q)]
-                  for c in range(len(graph.edges))]
-    solution = linalg.solve(transposed, list(rhs))
-    _require(solution.status == linalg.UNIQUE,
-             "a negative 1-forest must give a nonsingular system")
-    return solution.point
+    return _solve_transpose(graph, rhs)
 
 
 def vertices_to_json(vertices: Iterable[LatticeVertex]) -> str:

@@ -16,7 +16,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Mapping, Sequence
 
-from .counting import count_bishops_fast
+from .board import BISHOP, Rider
+from .counting import DEFAULT_NODE_BUDGET, sample_counts
 
 
 class InterpolationError(ValueError):
@@ -223,17 +224,24 @@ def interpolate(samples: Mapping[int, int], degree: int, period: int,
     return Quasipolynomial(period, degree, tuple(constituents))
 
 
-def interpolate_bishops(q: int, *, period: int = 2) -> Quasipolynomial:
-    """Counting quasipolynomial of q bishops from fast counts at
-    n = 1..2q*period, using the known leading coefficient 1/q!.
+def interpolate_bishops(q: int, *, period: int = 2, rider: Rider = BISHOP,
+                        node_budget: int = DEFAULT_NODE_BUDGET
+                        ) -> Quasipolynomial:
+    """Counting quasipolynomial of q pieces of ``rider`` (the bishop by
+    default) from exact counts at n = 1..2q*period, using the known
+    leading coefficient 1/q!.
 
-    With the default period 2 this is the minimal budget of 4q samples.
-    The result is raw (period as given); callers decide whether to
-    minimize or verify it.
+    Counts come from :func:`~bishops.counting.sample_counts` with method
+    "auto": the fast counter for the bishop, the naive oracle under
+    ``node_budget`` for any other rider.  With the default period 2 this
+    is the minimal budget of 4q samples.  The result is raw (period as
+    given); callers decide whether to minimize or verify it.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
+    if period < 1:
+        raise ValueError("period must be positive")
     top = 2 * q * period
-    samples = {n: count_bishops_fast(q, n) for n in range(1, top + 1)}
-    return interpolate(samples, 2 * q, period,
+    samples = sample_counts(rider, q, 1, top, node_budget=node_budget)
+    return interpolate(samples.entries, 2 * q, period,
                        leading=Fraction(1, factorial(q)))

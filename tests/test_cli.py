@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from bishops import cli
 from bishops.cli import main
 
 from helpers import DATA_DIR
@@ -218,6 +219,27 @@ def test_check_is_deterministic_for_a_seed(capsys):
     second = run(capsys, "check", "--seed", "9", "--spot", "1",
                  "--graphs", "10", "--matrices", "5", "--solves", "5")
     assert first == second
+
+
+@pytest.mark.parametrize("flag", ["--spot", "--graphs", "--matrices",
+                                  "--solves"])
+def test_check_rejects_negative_trial_counts(capsys, flag):
+    code, out, err = run(capsys, "check", flag, "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: trial counts must be nonnegative\n"
+
+
+def test_internal_invariant_violation_exits_3(capsys, monkeypatch):
+    def broken(q, *, bound):
+        raise AssertionError("codimension mismatch")
+
+    monkeypatch.setattr(cli, "period_upper_bound", broken)
+    code, out, err = run(capsys, "verify-period", "-q", "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("internal error: codimension mismatch\n")
 
 
 def test_missing_subcommand_exits_via_argparse(capsys):

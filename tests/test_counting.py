@@ -128,6 +128,12 @@ def test_sample_counts_table():
     assert table.rider == "bishop"
     assert table.q == 2
     assert table.method == "fast"
+    # "auto" is the default and the table records what it resolved to
+    assert sample_counts(BISHOP, 2, 1, 4) == table
+    assert sample_counts(BISHOP, 2, 1, 4, "auto") == table
+    rook = sample_counts(parse_rider("1,0;0,1"), 2, 2, 3)
+    assert rook.method == "naive"
+    assert rook.entries == {2: 2, 3: 18}
 
 
 def test_sample_counts_validation():
@@ -137,18 +143,10 @@ def test_sample_counts_validation():
         sample_counts(BISHOP, 2, 1, 3, "wrong")
     with pytest.raises(ValueError):
         sample_counts(parse_rider("1,0"), 2, 1, 3, "fast")
-
-
-def test_sample_counts_threads_agree():
-    sequential = sample_counts(BISHOP, 3, 1, 8, "fast", threads=1)
-    parallel = sample_counts(BISHOP, 3, 1, 8, "fast", threads=4)
-    assert sequential.entries == parallel.entries
-
-
-def test_sample_counts_reads_env(monkeypatch):
-    monkeypatch.setenv("BISHOPS_THREADS", "3")
-    table = sample_counts(BISHOP, 2, 1, 6, "fast")
-    assert table.entries[6] == count_bishops_fast(2, 6)
+    with pytest.raises(ValueError, match="n_from"):
+        sample_counts(BISHOP, 2, 5, 3, "auto")
+    with pytest.raises(SearchBudgetExceeded):
+        sample_counts(parse_rider("1,0"), 3, 5, 6, "auto", node_budget=4)
 
 
 def test_csv_format():

@@ -16,6 +16,7 @@ from bishops import (
     interpolate,
     interpolate_bishops,
     linalg,
+    parse_rider,
 )
 
 F = Fraction
@@ -263,6 +264,21 @@ def test_interpolate_bishops_three_pieces_frozen_constituents():
         F(1, 6), F(-2, 3), F(5, 4), F(-5, 3), F(4, 3), F(-2, 3), F(0))
     assert quasi.constituents[1] == (
         F(1, 6), F(-2, 3), F(5, 4), F(-5, 3), F(4, 3), F(-2, 3), F(1, 4))
+
+
+def test_interpolate_bishops_other_rider_matches_rook_golden():
+    # tests/golden/interpolate_rook_q2.txt: u(2; n) = C(n, 2)^2 * 2!
+    quasi = interpolate_bishops(2, rider=parse_rider("1,0;0,1"))
+    assert quasi.period == 2
+    assert quasi.minimize_period().pretty() == (
+        "n = 0 (mod 1): 1/2*n^4 - n^3 + 1/2*n^2")
+
+
+def test_interpolate_bishops_validation():
+    with pytest.raises(ValueError, match="q must be at least 1"):
+        interpolate_bishops(0)
+    with pytest.raises(ValueError, match="period must be positive"):
+        interpolate_bishops(3, period=0)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
