@@ -48,6 +48,8 @@ def count_unlabelled_naive(rider: Rider, q: int, n: int,
     """
     if q < 0 or n < 0:
         raise ValueError("q and n must be nonnegative")
+    if node_budget < 0:
+        raise ValueError("node budget must be nonnegative")
     if q == 0:
         return 1
     cells = n * n

@@ -23,10 +23,10 @@ from .signed_graph import (
     POSITIVE,
     SignedGraph,
     clique_graph,
-    components,
     double_signed,
     incidence_matrix,
     is_negative_one_forest,
+    signed_cliques,
 )
 
 
@@ -86,23 +86,14 @@ def subset_signed_graph(subset: Iterable[BishopHyperplane], q: int) -> SignedGra
     return SignedGraph(q, tuple((h.i, h.j, h.sign) for h in subset))
 
 
-def _sign_class_rank(graph: SignedGraph, sign: int) -> int:
-    """Forest rank (nodes minus components) of one sign class viewed as
-    an unsigned graph."""
-    subgraph = SignedGraph(
-        graph.q, tuple(e for e in graph.edges if e[2] == sign))
-    return graph.q - len(components(subgraph))
-
-
 def _two_route_ranks(subset: Sequence[BishopHyperplane],
                      q: int) -> tuple[int, int]:
     """(exact rank of the stacked normals, sum of the two sign-class
     forest ranks of the mirror signed graph)."""
     normals = [hyperplane_normal(h, q) for h in subset]
     matrix_rank = linalg.rank(normals) if normals else 0
-    graph = subset_signed_graph(subset, q)
-    return matrix_rank, (_sign_class_rank(graph, POSITIVE)
-                         + _sign_class_rank(graph, NEGATIVE))
+    pos, neg = signed_cliques(subset_signed_graph(subset, q))
+    return matrix_rank, 2 * q - len(pos) - len(neg)
 
 
 def codim_of_subset(subset: Iterable[BishopHyperplane], q: int) -> int:

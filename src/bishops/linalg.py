@@ -1,18 +1,21 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals by integer elimination.
 
 Every rank, determinant, inverse, and linear solve of the geometry and
-signed-graph code goes through these routines; interpolation has its own
-Newton kernel in :mod:`bishops.quasipoly`.  Matrices are lists of rows
-of :class:`fractions.Fraction` (integer entries are accepted and
-converted), and elimination picks the first nonzero pivot in each
-column, so results are deterministic and bit-identical between runs.
-No floating point.
+signed-graph code goes through one fraction-free Gauss-Jordan kernel
+(Bareiss 1968) on integer rows; interpolation has its own Newton kernel
+in :mod:`bishops.quasipoly`.  Matrices are lists of rows of ints or
+:class:`fractions.Fraction`; a row with rational entries is first
+multiplied by the lcm of its denominators, so elimination never leaves
+the integers, and a ``Fraction`` is built only for a result.  The first
+nonzero pivot in each column is taken, so results are deterministic
+and bit-identical between runs.  No floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 Scalar = int | Fraction
@@ -23,94 +26,89 @@ INCONSISTENT = "inconsistent"
 UNDERDETERMINED = "underdetermined"
 
 
-def to_matrix(rows: Sequence[Sequence[Scalar]]) -> Matrix:
-    """Copy ``rows`` into a rectangular matrix of Fractions."""
-    out = [[Fraction(entry) for entry in row] for row in rows]
-    if out:
-        width = len(out[0])
-        if any(len(row) != width for row in out):
-            raise ValueError("rows must all have the same length")
-    return out
+def _scale(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
+    """Integer copy of ``rows``, each row multiplied by the lcm of its
+    denominators, and the product of those multipliers."""
+    out = []
+    product = 1
+    for row in rows:
+        scale = lcm(*{entry.denominator for entry in row})
+        out.append([entry.numerator * (scale // entry.denominator)
+                    for entry in row])
+        product *= scale
+    if out and any(len(row) != len(out[0]) for row in out):
+        raise ValueError("rows must all have the same length")
+    return out, product
 
 
-def _reduce(m: Matrix, *, columns: int | None = None) -> list[int]:
-    """Bring ``m`` to reduced row-echelon form in place.
+def _eliminate(m: list[list[int]], columns: int) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of the integer rows ``m``
+    in place, pivoting only in the first ``columns`` columns so that
+    augmented right-hand sides ride along.
 
-    Pivots are searched only in the first ``columns`` columns (all by
-    default), which lets callers carry augmented right-hand sides along.
-    Returns the pivot column indices.
+    Each step takes the first nonzero entry p of its column at or below
+    the next pivot row, and replaces every other row a by
+    (p*a - f*b) / prev, where b is the pivot row, f the row's entry in
+    the pivot column and prev the previous pivot.  The division is exact:
+    afterwards the rows are the last pivot times the reduced row-echelon
+    form, whose entries are minors of the input.  Returns the pivot
+    columns and the last pivot with the sign of the row swaps, which is
+    the determinant when every column of a square matrix has a pivot.
     """
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    if columns is None:
-        columns = n_cols
     pivots: list[int] = []
-    row = 0
+    prev = sign = 1
     for col in range(columns):
-        if row == n_rows:
+        row = len(pivots)
+        if row == len(m):
             break
-        pivot = next((r for r in range(row, n_rows) if m[r][col] != 0), None)
+        pivot = next((r for r in range(row, len(m)) if m[r][col]), None)
         if pivot is None:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        scale = m[row][col]
-        m[row] = [entry / scale for entry in m[row]]
-        for r in range(n_rows):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+        if pivot != row:
+            m[row], m[pivot] = m[pivot], m[row]
+            sign = -sign
+        lead = m[row]
+        p = lead[col]
+        for r in range(len(m)):
+            if r != row:
+                f = m[r][col]
+                m[r] = [(p * a - f * b) // prev for a, b in zip(m[r], lead)]
         pivots.append(col)
-        row += 1
-    return pivots
+        prev = p
+    return pivots, sign * prev
 
 
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
     """Rank over the rationals."""
-    m = to_matrix(rows)
-    return len(_reduce(m))
+    m, _ = _scale(rows)
+    pivots, _ = _eliminate(m, len(m[0]) if m else 0)
+    return len(pivots)
 
 
 def det(rows: Sequence[Sequence[Scalar]]) -> Fraction:
     """Determinant of a square matrix."""
-    m = to_matrix(rows)
+    m, scale = _scale(rows)
     size = len(m)
     if any(len(row) != size for row in m):
         raise ValueError("determinant requires a square matrix")
-    result = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            result = -result
-        lead = m[col][col]
-        result *= lead
-        for r in range(col + 1, size):
-            if m[r][col] != 0:
-                factor = m[r][col] / lead
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return result
+    pivots, last = _eliminate(m, size)
+    if len(pivots) != size:
+        return Fraction(0)
+    return Fraction(last, scale)
 
 
 def invert(rows: Sequence[Sequence[Scalar]]) -> Matrix | None:
     """Inverse of a square matrix, or None when it is singular."""
-    m = to_matrix(rows)
-    size = len(m)
-    if any(len(row) != size for row in m):
+    size = len(rows)
+    m, _ = _scale([[*row, *(int(c == r) for c in range(size))]
+                   for r, row in enumerate(rows)])
+    if any(len(row) != 2 * size for row in m):
         raise ValueError("inversion requires a square matrix")
-    for r in range(size):
-        m[r].extend(Fraction(1) if c == r else Fraction(0) for c in range(size))
-    pivots = _reduce(m, columns=size)
+    pivots, _ = _eliminate(m, size)
     if len(pivots) != size:
         return None
-    return [row[size:] for row in m]
-
-
-def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> list[Fraction]:
-    """Matrix-vector product as Fractions."""
-    return [sum((Fraction(a) * Fraction(b) for a, b in zip(row, v)), Fraction(0))
-            for row in m]
+    return [[Fraction(entry, row[r]) for entry in row[size:]]
+            for r, row in enumerate(m)]
 
 
 @dataclass(frozen=True)
@@ -131,19 +129,15 @@ def solve(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Solution:
     Accepts any shape: extra consistent equations are fine, missing ones
     yield UNDERDETERMINED, contradictions yield INCONSISTENT.
     """
-    m = to_matrix(rows)
-    if len(m) != len(rhs):
+    if len(rows) != len(rhs):
         raise ValueError("need one right-hand side entry per equation")
-    n_cols = len(m[0]) if m else 0
-    for row, value in zip(m, rhs):
-        row.append(Fraction(value))
-    pivots = _reduce(m, columns=n_cols)
-    free_rows = range(len(pivots), len(m))
-    if any(m[r][n_cols] != 0 for r in free_rows):
+    m, _ = _scale([[*row, value] for row, value in zip(rows, rhs)])
+    n_cols = len(m[0]) - 1 if m else 0
+    pivots, _ = _eliminate(m, n_cols)
+    if any(m[r][n_cols] for r in range(len(pivots), len(m))):
         return Solution(INCONSISTENT, None)
     if len(pivots) < n_cols:
         return Solution(UNDERDETERMINED, None)
-    point: list[Fraction] = [Fraction(0)] * n_cols
-    for row_index, col in enumerate(pivots):
-        point[col] = m[row_index][n_cols]
-    return Solution(UNIQUE, point)
+    # every column holds a pivot, so row r carries x_r
+    return Solution(UNIQUE, [Fraction(row[n_cols], row[r])
+                             for r, row in enumerate(m[:n_cols])])

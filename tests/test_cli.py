@@ -91,6 +91,18 @@ def test_count_budget_exceeded(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "-p", "1,0;0,1", "-q", "1", "-n", "3"),
+    ("count", "-p", "1,0;0,1", "-q", "2", "-n", "3"),
+    ("interpolate", "-p", "1,0;0,1", "-q", "1"),
+])
+def test_negative_budget_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--budget", "-5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: node budget must be nonnegative\n"
+
+
 def test_interpolate_pretty(capsys):
     code, out, _ = run(capsys, "interpolate", "-q", "2")
     assert code == 0

@@ -104,6 +104,12 @@ def test_budget_enforced():
         count_unlabelled_naive(BISHOP, 3, 6, node_budget=5)
 
 
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_negative_budget_rejected_for_every_q(q):
+    with pytest.raises(ValueError, match="node budget must be nonnegative"):
+        count_unlabelled_naive(parse_rider("1,0;0,1"), q, 3, node_budget=-5)
+
+
 def test_count_unlabelled_dispatch():
     rook = parse_rider("1,0;0,1")
     assert count_unlabelled(BISHOP, 2, 3) == 26
