@@ -91,6 +91,15 @@ def test_count_budget_exceeded(capsys):
     assert "budget" in err
 
 
+def test_count_budget_covers_mask_setup(capsys):
+    # 40 x 40 has 1,279,200 square pairs to test before any search
+    code, out, err = run(capsys, "count", "-p", "1,0;0,1", "-q", "1",
+                         "-n", "40", "--budget", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: naive count exceeded the budget of 1 nodes\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("count", "-p", "1,0;0,1", "-q", "1", "-n", "3"),
     ("count", "-p", "1,0;0,1", "-q", "2", "-n", "3"),

@@ -5,7 +5,7 @@ from itertools import combinations
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bishops import (
@@ -21,6 +21,7 @@ from bishops import (
     parse_rider,
     sample_counts,
 )
+from bishops import counting
 
 
 def count_by_definition(rider, q: int, n: int) -> int:
@@ -104,6 +105,26 @@ def test_budget_enforced():
         count_unlabelled_naive(BISHOP, 3, 6, node_budget=5)
 
 
+def test_budget_charges_square_pairs_before_building_masks(monkeypatch):
+    def no_attacks(*_):
+        raise AssertionError("attack masks built despite the budget")
+
+    monkeypatch.setattr(counting, "attacks", no_attacks)
+    rook = parse_rider("1,0;0,1")
+    # 1600 squares make 1,279,200 pairs, far over a budget of 1
+    with pytest.raises(SearchBudgetExceeded,
+                       match="exceeded the budget of 1 nodes"):
+        count_unlabelled_naive(rook, 1, 40, node_budget=1)
+    # 9 squares make 36 pairs; one piece places no searched node
+    with pytest.raises(SearchBudgetExceeded):
+        count_unlabelled_naive(rook, 1, 3, node_budget=35)
+    monkeypatch.undo()
+    assert count_unlabelled_naive(rook, 1, 3, node_budget=36) == 9
+    # nothing is charged when no masks are needed
+    assert count_unlabelled_naive(rook, 0, 40, node_budget=0) == 1
+    assert count_unlabelled_naive(rook, 10, 3, node_budget=0) == 0
+
+
 @pytest.mark.parametrize("q", [0, 1, 2])
 def test_negative_budget_rejected_for_every_q(q):
     with pytest.raises(ValueError, match="node budget must be nonnegative"):
@@ -167,3 +188,59 @@ def test_json_format_counts_are_strings():
     assert payload["q"] == 2
     assert payload["method"] == "fast"
     assert payload["counts"] == {"2": "4", "3": "26"}
+
+
+def per_n_bishop_count(q: int, n: int) -> int:
+    """The per-n dynamic program the table builder replaced: sort each
+    parity class's column lengths and build both rook profiles afresh."""
+    if q == 0:
+        return 1
+    if n == 0:
+        return 0
+    even = [n] + [n - 2 * k for k in range(1, (n - 1) // 2 + 1) for _ in (0, 1)]
+    odd = [n - (2 * k - 1) for k in range(1, n // 2 + 1) for _ in (0, 1)]
+    profiles = []
+    for lengths in (even, odd):
+        counts = [1] + [0] * q
+        for length in sorted(lengths):
+            for j in range(min(q, length) - 1, -1, -1):
+                counts[j + 1] += counts[j] * (length - j)
+        profiles.append(counts)
+    first, second = profiles
+    return sum(first[j] * second[q - j] for j in range(q + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=12),
+       st.integers(min_value=0, max_value=40),
+       st.integers(min_value=0, max_value=40))
+@example(q=3, n_from=0, width=0)  # one board size: one chain only
+@example(q=3, n_from=1, width=0)
+@example(q=3, n_from=0, width=1)  # both chains, one size each
+@example(q=3, n_from=1, width=1)
+@example(q=3, n_from=0, width=2)  # the first chain grows once
+@example(q=3, n_from=1, width=2)
+@example(q=0, n_from=0, width=5)
+@example(q=12, n_from=0, width=40)
+def test_table_matches_per_n_dp(q, n_from, width):
+    """``width`` is n_to - n_from."""
+    n_to = n_from + width
+    table = sample_counts(BISHOP, q, n_from, n_to, "fast")
+    expected = {n: per_n_bishop_count(q, n) for n in range(n_from, n_to + 1)}
+    assert table.entries == expected
+    assert list(table.entries) == list(expected)
+
+
+def test_table_matches_per_n_dp_large_q():
+    table = sample_counts(BISHOP, 64, 1, 256, "fast")
+    assert table.entries == {n: per_n_bishop_count(64, n)
+                             for n in range(1, 257)}
+
+
+def test_fast_table_validation_messages():
+    with pytest.raises(ValueError, match="^q and n must be nonnegative$"):
+        sample_counts(BISHOP, -1, 0, 3, "fast")
+    with pytest.raises(ValueError, match="^need 0 <= n_from <= n_to$"):
+        sample_counts(BISHOP, -1, -1, 3, "fast")
+    with pytest.raises(ValueError, match="^q and n must be nonnegative$"):
+        count_bishops_fast(2, -1)

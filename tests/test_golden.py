@@ -50,7 +50,7 @@ CASES = {
        for q in range(1, 9)},
     **{f"interpolate_q{q}_json": ["interpolate", "-q", str(q),
                                   "--format", "json"]
-       for q in (*range(1, 9), 16, 24)},
+       for q in (*range(1, 9), 16, 24, 32)},
     "interpolate_q3_period1": ["interpolate", "-q", "3", "--period", "1"],
     "interpolate_q3_period3": ["interpolate", "-q", "3", "--period", "3"],
     "interpolate_rook_q2": ["interpolate", "-p", ROOK, "-q", "2"],
@@ -70,6 +70,12 @@ CASES = {
     "count_rook_single_naive": ["count", "-p", ROOK, "-q", "3", "-n", "4",
                                 "--method", "naive"],
     "count_queen_single": ["count", "-p", QUEEN, "-q", "3", "-n", "5"],
+    "count_range_q24_wide_csv": ["count", "-q", "24", "--n-range",
+                                 "300..400", "--format", "csv"],
+    "count_range_q7_first_two_json": ["count", "-q", "7", "--n-range",
+                                      "0..1", "--format", "json"],
+    "count_range_q0": ["count", "-q", "0", "--n-range", "0..3"],
+    "count_range_q5_one_size": ["count", "-q", "5", "--n-range", "9..9"],
     "vertices_q1": ["vertices", "-q", "1"],
     "vertices_q2": ["vertices", "-q", "2"],
     "vertices_q3_json": ["vertices", "-q", "3", "--format", "json"],
@@ -83,6 +89,8 @@ CASES = {
     "error_count_fast_rook": ["count", "--method", "fast", "-p", ROOK,
                               "-q", "2", "-n", "3"],
     "error_count_reversed_range": ["count", "-q", "2", "--n-range", "5..3"],
+    "error_count_negative_q_range": ["count", "-q", "-1", "--n-range",
+                                     "0..3"],
     "error_graph_singular": ["graph", f"{GRAPH_DIR}/singular.txt"],
 }
 
