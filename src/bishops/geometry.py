@@ -4,8 +4,10 @@ Coordinates are interleaved (x_1, y_1, ..., x_q, y_q) throughout.  The
 attack hyperplanes pair off piece indices; subsets of them are mirrored
 by signed graphs, whose clique structure gives an independent route to
 every rank computed here.  Lattice vertices of the inside-out unit cube
-are enumerated outright and checked for half-integrality, and the
-clique-graph linear system reconstructs a vertex from its fixations.
+are enumerated outright, as integer numerators over one denominator per
+system with a ``Fraction`` only for a kept vertex, and checked for
+half-integrality; the clique-graph linear system reconstructs a vertex
+from its fixations.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from math import lcm
+from itertools import combinations, compress, product
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -180,9 +182,14 @@ def enumerate_lattice_vertices(q: int, *, bound: int = 3) -> list[LatticeVertex]
 
     Every choice of k hyperplanes plus 2q - k facet fixations (values 0
     or 1) whose system has a unique solution contributes its solution,
-    filtered to the cube.  Points reachable from several defining sets
-    are kept once, with the first defining set in iteration order; the
-    result is sorted by coordinates, so it is deterministic.
+    filtered to the cube.  Substituting the fixed coordinates leaves a
+    k x k system on the loose ones, eliminated once per choice of fixed
+    coordinates into integer numerators over one positive denominator
+    D, so each 0/1 choice of values is an integer column sum tested
+    against [0, D]; a ``Fraction`` is built only for a vertex that is
+    kept.  Points reachable from several defining sets are kept once,
+    with the first defining set in iteration order; the result is
+    sorted by coordinates, so it is deterministic.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
@@ -191,7 +198,8 @@ def enumerate_lattice_vertices(q: int, *, bound: int = 3) -> list[LatticeVertex]
             f"vertex enumeration for q={q} is above the bound {bound}")
     dim = 2 * q
     arrangement = move_arrangement(q)
-    found: dict[tuple[Fraction, ...], LatticeVertex] = {}
+    # keyed by the point in lowest terms: (denominator, numerators)
+    found: dict[tuple[int, tuple[int, ...]], LatticeVertex] = {}
     for k in range(dim + 1):
         for subset in combinations(arrangement, k):
             normals = [hyperplane_normal(h, q) for h in subset]
@@ -200,31 +208,32 @@ def enumerate_lattice_vertices(q: int, *, bound: int = 3) -> list[LatticeVertex]
             if normals and linalg.rank(normals) < k:
                 continue
             for fixed in combinations(range(dim), dim - k):
-                matrix = [list(row) for row in normals]
-                for coordinate in fixed:
-                    unit = [0] * dim
-                    unit[coordinate] = 1
-                    matrix.append(unit)
-                inverse = linalg.invert(matrix)
-                if inverse is None:
+                loose = [c for c in range(dim) if c not in fixed]
+                # N_L x_L = -N_F x_F, one right-hand column per fixed x
+                solved = linalg.solve_integral(
+                    [[row[c] for c in loose] for row in normals],
+                    [[-row[c] for c in fixed] for row in normals])
+                if solved is None:
                     continue
-                # the right-hand side is zero on hyperplane rows, so the
-                # solution is a 0/1 combination of inverse columns
+                d, columns = solved
+                numerators = [0] * dim
                 for values in product((0, 1), repeat=dim - k):
-                    point = tuple(
-                        sum((inverse[r][k + t] for t in range(dim - k)
-                             if values[t]), Fraction(0))
-                        for r in range(dim)
-                    )
-                    if any(c < 0 or c > 1 for c in point):
+                    for c, row in zip(loose, columns):
+                        numerators[c] = sum(compress(row, values))
+                    if any(not 0 <= numerators[c] <= d for c in loose):
                         continue
-                    if point in found:
+                    for c, v in zip(fixed, values):
+                        numerators[c] = v * d
+                    g = gcd(d, *numerators)
+                    key = (d // g, tuple(n // g for n in numerators))
+                    if key in found:
                         continue
                     fixations = tuple(
                         Fixation("x" if c % 2 == 0 else "y", c // 2 + 1, v)
                         for c, v in zip(fixed, values))
-                    found[point] = LatticeVertex(point, subset, fixations)
-    return [found[point] for point in sorted(found)]
+                    point = tuple(Fraction(n, d) for n in numerators)
+                    found[key] = LatticeVertex(point, subset, fixations)
+    return sorted(found.values(), key=lambda vertex: vertex.point)
 
 
 def verify_half_integrality(vertices: Iterable[LatticeVertex]) -> bool:

@@ -6,9 +6,12 @@ signed-graph code goes through one fraction-free Gauss-Jordan kernel
 in :mod:`bishops.quasipoly`.  Matrices are lists of rows of ints or
 :class:`fractions.Fraction`; a row with rational entries is first
 multiplied by the lcm of its denominators, so elimination never leaves
-the integers, and a ``Fraction`` is built only for a result.  The first
-nonzero pivot in each column is taken, so results are deterministic
-and bit-identical between runs.  No floating point.
+the integers, and a ``Fraction`` is built only for a result;
+:func:`solve_integral` returns A^-1 B as integer numerators over one
+positive denominator, which vertex enumeration uses as they are and
+:func:`invert` divides out.  The first nonzero pivot in each column is
+taken, so results are deterministic and bit-identical between runs.
+No floating point.
 """
 
 from __future__ import annotations
@@ -97,18 +100,38 @@ def det(rows: Sequence[Sequence[Scalar]]) -> Fraction:
     return Fraction(last, scale)
 
 
-def invert(rows: Sequence[Sequence[Scalar]]) -> Matrix | None:
-    """Inverse of a square matrix, or None when it is singular."""
+def solve_integral(rows: Sequence[Sequence[Scalar]],
+                   rhs: Sequence[Sequence[Scalar]]
+                   ) -> tuple[int, list[list[int]]] | None:
+    """Integer form of A^-1 B for a square A = ``rows`` and the columns
+    B given as ``rhs``, one row per equation: a positive common
+    denominator D and the integer matrix X with A X = D B, or None when
+    A is singular."""
     size = len(rows)
-    m, _ = _scale([[*row, *(int(c == r) for c in range(size))]
-                   for r, row in enumerate(rows)])
-    if any(len(row) != 2 * size for row in m):
+    if len(rhs) != size:
+        raise ValueError("need one right-hand side row per equation")
+    m, _ = _scale([[*row, *b] for row, b in zip(rows, rhs)])
+    if any(len(row) != size for row in rows):
         raise ValueError("inversion requires a square matrix")
     pivots, _ = _eliminate(m, size)
     if len(pivots) != size:
         return None
-    return [[Fraction(entry, row[r]) for entry in row[size:]]
-            for r, row in enumerate(m)]
+    # every diagonal entry is now the last pivot, unsigned by row swaps
+    d = m[0][0] if m else 1
+    if d < 0:
+        return -d, [[-entry for entry in row[size:]] for row in m]
+    return d, [row[size:] for row in m]
+
+
+def invert(rows: Sequence[Sequence[Scalar]]) -> Matrix | None:
+    """Inverse of a square matrix, or None when it is singular."""
+    size = len(rows)
+    solved = solve_integral(
+        rows, [[int(c == r) for c in range(size)] for r in range(size)])
+    if solved is None:
+        return None
+    d, numerators = solved
+    return [[Fraction(entry, d) for entry in row] for row in numerators]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Arrangement geometry: normals, codimension, vertices, clique solves."""
 
 from fractions import Fraction
+from itertools import combinations, product
 from random import Random
 
 import pytest
@@ -181,6 +182,58 @@ def test_vertices_three_pieces():
     strict = [v for v in vertices
               if any(c.denominator == 2 for c in v.point)]
     assert len(strict) == 24
+
+
+def test_vertices_four_pieces():
+    vertices = enumerate_lattice_vertices(4, bound=4)
+    assert len(vertices) == 496
+    assert all(0 <= c <= 1 for v in vertices for c in v.point)
+    assert verify_half_integrality(vertices)
+    assert denominator_lcm(vertices) == 2
+    strict = [v for v in vertices
+              if any(c.denominator == 2 for c in v.point)]
+    assert len(strict) == 240
+
+
+def fraction_vertices(q):
+    """Independent reference: invert each full square system into
+    Fractions and add its inverse columns for every 0/1 choice of
+    fixation values, keeping the first defining set of each point."""
+    dim = 2 * q
+    arrangement = move_arrangement(q)
+    found = {}
+    for k in range(dim + 1):
+        for subset in combinations(arrangement, k):
+            normals = [hyperplane_normal(h, q) for h in subset]
+            if normals and linalg.rank(normals) < k:
+                continue
+            for fixed in combinations(range(dim), dim - k):
+                matrix = [list(row) for row in normals]
+                for coordinate in fixed:
+                    unit = [0] * dim
+                    unit[coordinate] = 1
+                    matrix.append(unit)
+                inverse = linalg.invert(matrix)
+                if inverse is None:
+                    continue
+                for values in product((0, 1), repeat=dim - k):
+                    point = tuple(
+                        sum((inverse[r][k + t] for t in range(dim - k)
+                             if values[t]), Fraction(0))
+                        for r in range(dim))
+                    if any(c < 0 or c > 1 for c in point) or point in found:
+                        continue
+                    fixations = tuple(
+                        Fixation("x" if c % 2 == 0 else "y", c // 2 + 1, v)
+                        for c, v in zip(fixed, values))
+                    found[point] = LatticeVertex(point, subset, fixations)
+    return [found[point] for point in sorted(found)]
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_vertices_match_fraction_reference(q):
+    # LatticeVertex equality covers points, hyperplanes and fixations
+    assert enumerate_lattice_vertices(q) == fraction_vertices(q)
 
 
 def test_vertices_are_deterministic_and_in_cube():

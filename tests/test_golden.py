@@ -79,6 +79,12 @@ CASES = {
     "vertices_q1": ["vertices", "-q", "1"],
     "vertices_q2": ["vertices", "-q", "2"],
     "vertices_q3_json": ["vertices", "-q", "3", "--format", "json"],
+    "vertices_q3": ["vertices", "-q", "3"],
+    "vertices_q2_json": ["vertices", "-q", "2", "--format", "json"],
+    "verify_period_q1": ["verify-period", "-q", "1"],
+    "verify_period_q2": ["verify-period", "-q", "2"],
+    "error_vertices_q4_bound": ["vertices", "-q", "4"],
+    "error_verify_period_q4_bound": ["verify-period", "-q", "4"],
     **{f"graph_{stem}_{fmt}": ["graph", f"{GRAPH_DIR}/{stem}.txt",
                                "--format", fmt]
        for stem in ("half_integral", "multigraph", "seeded_four")

@@ -61,6 +61,17 @@ def reference_solve(rows, rhs) -> tuple[int, str, list[Fraction] | None]:
     return len(pivots), linalg.UNIQUE, [row[n_cols] for row in m[:n_cols]]
 
 
+def make_dependent(draw, rows) -> None:
+    """Replace some rows, each by a combination k*row_a + row_b of
+    earlier rows."""
+    for target in range(1, len(rows)):
+        if draw(st.booleans()):
+            a = draw(st.integers(min_value=0, max_value=target - 1))
+            b = draw(st.integers(min_value=0, max_value=target - 1))
+            k = draw(small_int)
+            rows[target] = [k * x + y for x, y in zip(rows[a], rows[b])]
+
+
 @st.composite
 def dependent_systems(draw):
     """Up to 6 x 6 systems in which some rows are combinations
@@ -70,12 +81,7 @@ def dependent_systems(draw):
     n_cols = draw(st.integers(min_value=0, max_value=6))
     rows = draw(st.lists(st.lists(entries, min_size=n_cols, max_size=n_cols),
                          min_size=n_rows, max_size=n_rows))
-    for target in range(1, n_rows):
-        if draw(st.booleans()):
-            a = draw(st.integers(min_value=0, max_value=target - 1))
-            b = draw(st.integers(min_value=0, max_value=target - 1))
-            k = draw(small_int)
-            rows[target] = [k * x + y for x, y in zip(rows[a], rows[b])]
+    make_dependent(draw, rows)
     if draw(st.booleans()):
         point = draw(st.lists(entries, min_size=n_cols, max_size=n_cols))
         rhs = [sum((a * x for a, x in zip(row, point)), Fraction(0))
@@ -197,3 +203,49 @@ def test_invert_round_trip_fractions(rows):
                 for j in range(n)] for i in range(n)]
     assert product == [[1 if i == j else 0 for j in range(n)]
                        for i in range(n)]
+
+
+@st.composite
+def square_systems(draw):
+    """A square matrix up to 6 x 6, of ints or of ints and fractions,
+    sometimes with dependent rows, and 0-3 right-hand columns."""
+    size = draw(st.integers(min_value=0, max_value=6))
+    width = draw(st.integers(min_value=0, max_value=3))
+    elements = draw(st.sampled_from([small_int, entries]))
+    rows = draw(square_matrices(size, elements))
+    if draw(st.booleans()):
+        make_dependent(draw, rows)
+    rhs = draw(st.lists(st.lists(elements, min_size=width, max_size=width),
+                        min_size=size, max_size=size))
+    return rows, rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_systems())
+@example(([], []))
+@example(([[0]], [[1]]))
+@example(([[-2]], [[3, 0, -1]]))
+@example(([[Fraction(1, 3)]], [[]]))
+def test_solve_integral_is_the_scaled_solution(system):
+    rows, rhs = system
+    size = len(rows)
+    solved = linalg.solve_integral(rows, rhs)
+    if reference_solve(rows, [0] * size)[0] < size:
+        assert solved is None
+        return
+    d, numerators = solved
+    assert type(d) is int and d > 0
+    assert all(type(entry) is int for row in numerators for entry in row)
+    assert [len(row) for row in numerators] == [len(row) for row in rhs]
+    product = [[sum(rows[i][k] * numerators[k][j] for k in range(size))
+                for j in range(len(row))] for i, row in enumerate(rhs)]
+    assert product == [[d * entry for entry in row] for row in rhs]
+
+
+def test_solve_integral_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="square"):
+        linalg.solve_integral([[1, 2]], [[1]])
+    with pytest.raises(ValueError, match="one right-hand side row"):
+        linalg.solve_integral([[1]], [])
+    with pytest.raises(ValueError, match="square"):
+        linalg.invert([[1, 2, 3], [4, 5, 6]])
