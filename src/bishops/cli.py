@@ -141,7 +141,8 @@ def cmd_verify_period(args: argparse.Namespace) -> int:
     geometric = period_upper_bound(q, bound=args.bound)
     minimized = interpolate_bishops(q).minimize_period().period
     expected = 1 if q < 3 else 2
-    ok = 2 % geometric == 0 and minimized == expected
+    ok = (2 % geometric == 0 and geometric % minimized == 0
+          and minimized == expected)
     print(f"geometric denominator lcm: {geometric}")
     print(f"interpolated minimized period: {minimized} (expected {expected})")
     print("PASS" if ok else "FAIL")

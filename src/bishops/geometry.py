@@ -3,11 +3,13 @@
 Coordinates are interleaved (x_1, y_1, ..., x_q, y_q) throughout.  The
 attack hyperplanes pair off piece indices; subsets of them are mirrored
 by signed graphs, whose clique structure gives an independent route to
-every rank computed here.  Lattice vertices of the inside-out unit cube
-are enumerated outright, as integer numerators over one denominator per
-system with a ``Fraction`` only for a kept vertex, and checked for
-half-integrality; the clique-graph linear system reconstructs a vertex
-from its fixations.
+every rank computed here.  The matroid check walks all subsets depth
+first, growing both ranks of each subset from its parent's by one row
+reduction and at most one union-find merge.  Lattice vertices of the
+inside-out unit cube are enumerated outright, as integer numerators
+over one denominator per system with a ``Fraction`` only for a kept
+vertex, and checked for half-integrality; the clique-graph linear
+system reconstructs a vertex from its fixations.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress, product
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import linalg
 from .signed_graph import (
@@ -88,16 +90,6 @@ def subset_signed_graph(subset: Iterable[BishopHyperplane], q: int) -> SignedGra
     return SignedGraph(q, tuple((h.i, h.j, h.sign) for h in subset))
 
 
-def _two_route_ranks(subset: Sequence[BishopHyperplane],
-                     q: int) -> tuple[int, int]:
-    """(exact rank of the stacked normals, sum of the two sign-class
-    forest ranks of the mirror signed graph)."""
-    normals = [hyperplane_normal(h, q) for h in subset]
-    matrix_rank = linalg.rank(normals) if normals else 0
-    pos, neg = signed_cliques(subset_signed_graph(subset, q))
-    return matrix_rank, 2 * q - len(pos) - len(neg)
-
-
 def codim_of_subset(subset: Iterable[BishopHyperplane], q: int) -> int:
     """Codimension of the intersection of the subset, computed both as
     the exact rank of the stacked normals and as the sum of the two
@@ -106,7 +98,11 @@ def codim_of_subset(subset: Iterable[BishopHyperplane], q: int) -> int:
     The two routes must agree; a mismatch is a build-stopping bug, not a
     recoverable condition.
     """
-    matrix_rank, graph_rank = _two_route_ranks(list(subset), q)
+    hyperplanes = list(subset)
+    normals = [hyperplane_normal(h, q) for h in hyperplanes]
+    matrix_rank = linalg.rank(normals)
+    pos, neg = signed_cliques(subset_signed_graph(hyperplanes, q))
+    graph_rank = 2 * q - len(pos) - len(neg)
     if matrix_rank != graph_rank:
         raise AssertionError(
             f"codimension mismatch for q={q}: matrix rank {matrix_rank}, "
@@ -114,23 +110,64 @@ def codim_of_subset(subset: Iterable[BishopHyperplane], q: int) -> int:
     return matrix_rank
 
 
+def subset_ranks(q: int) -> Iterator[
+        tuple[tuple[BishopHyperplane, ...], int, int]]:
+    """Yield (subset, matrix rank, sign-class forest rank) once for each
+    of the 2^(2*C(q,2)) subsets of the arrangement, depth first.
+
+    A child subset is its parent plus one hyperplane of larger index, so
+    both ranks grow from the parent's by one step each.  The matrix
+    route keeps an echelon basis of the stacked normals and reduces the
+    new normal against it (:func:`linalg.reduce_row`): the rank rises by
+    one exactly when a nonzero row is left.  The graph route keeps one
+    union-find per sign class, as class labels of the pieces that a
+    merge relabels in a fresh copy: the forest rank rises by one exactly
+    when the new edge joins two classes of its sign.  The two routes
+    share nothing but the subset.
+    """
+    arrangement = move_arrangement(q)
+    # per hyperplane: its normal, and the two nodes its edge joins; the
+    # labels of both union-finds share one tuple, nodes 0..q-1 being the
+    # pieces in the positive class and q..2q-1 those in the negative
+    steps = []
+    for h in arrangement:
+        offset = 0 if h.sign == POSITIVE else q
+        steps.append((h, hyperplane_normal(h, q),
+                      offset + h.i - 1, offset + h.j - 1))
+    # (subset, index of its last hyperplane, echelon basis, class label
+    # of each node, forest rank)
+    stack = [((), -1, (), tuple(range(2 * q)), 0)]
+    while stack:
+        subset, last, basis, labels, graph_rank = stack.pop()
+        yield subset, len(basis), graph_rank
+        # pushed in reverse, so children are walked in index order
+        for k in range(len(steps) - 1, last, -1):
+            h, normal, i, j = steps[k]
+            reduced = linalg.reduce_row(basis, normal)
+            child_basis = basis if reduced is None else (*basis, reduced)
+            a, b = labels[i], labels[j]
+            if a == b:
+                child_labels, child_rank = labels, graph_rank
+            else:
+                child_labels = tuple(a if label == b else label
+                                     for label in labels)
+                child_rank = graph_rank + 1
+            stack.append(((*subset, h), k, child_basis, child_labels,
+                          child_rank))
+
+
 def matroid_check(q: int, *, bound: int = 4) -> bool:
     """Exhaustively test that arrangement rank equals the direct sum of
     the two sign-class forest ranks, over every one of the
-    2^(2*C(q,2)) subsets of the arrangement."""
+    2^(2*C(q,2)) subsets of the arrangement (see :func:`subset_ranks`)."""
     if q < 0:
         raise ValueError("q must be nonnegative")
     if q > bound:
         raise EnumerationBoundExceeded(
             f"matroid check for q={q} needs 2^{q * (q - 1)} subsets; "
             f"the bound is {bound}")
-    arrangement = move_arrangement(q)
-    for size in range(len(arrangement) + 1):
-        for subset in combinations(arrangement, size):
-            matrix_rank, graph_rank = _two_route_ranks(subset, q)
-            if matrix_rank != graph_rank:
-                return False
-    return True
+    return all(matrix_rank == graph_rank
+               for _, matrix_rank, graph_rank in subset_ranks(q))
 
 
 @dataclass(frozen=True, order=True)

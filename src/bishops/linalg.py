@@ -12,13 +12,20 @@ positive denominator, which vertex enumeration uses as they are and
 :func:`invert` divides out.  The first nonzero pivot in each column is
 taken, so results are deterministic and bit-identical between runs.
 No floating point.
+
+:func:`reduce_row` is the one incremental companion to that kernel: it
+grows an echelon basis one integer row at a time, so a caller that
+stacks rows one by one, like the depth-first matroid walk of
+:mod:`bishops.geometry`, reads off every prefix's rank without
+eliminating the whole stack again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import compress, count
+from math import gcd, lcm
 from typing import Sequence
 
 Scalar = int | Fraction
@@ -79,6 +86,33 @@ def _eliminate(m: list[list[int]], columns: int) -> tuple[list[int], int]:
         pivots.append(col)
         prev = p
     return pivots, sign * prev
+
+
+def reduce_row(basis: Sequence[tuple[int, Sequence[int]]],
+               row: Sequence[int]) -> tuple[int, Sequence[int]] | None:
+    """Reduce the integer ``row`` fraction-free against an echelon
+    ``basis`` of (pivot column, row) pairs, each row zero in the pivot
+    columns of the rows before it.
+
+    Each basis row b with pivot c turns the row r into b[c]*r - r[c]*b,
+    which clears column c and leaves the earlier pivot columns zero.
+    Returns None when ``row`` lies in the span of the basis; otherwise
+    the pair to append, whose row is divided by its content (the gcd of
+    its entries) so that entries stay small however deep the basis
+    grows, and whose pivot is its first nonzero column.  No row is
+    modified in place, so the pair may hold ``row`` itself.
+    """
+    for col, b in basis:
+        f = row[col]
+        if f:
+            p = b[col]
+            row = [p * a - f * e for a, e in zip(row, b)]
+    content = gcd(*row)
+    if not content:
+        return None
+    if content > 1:
+        row = [a // content for a in row]
+    return next(compress(count(), row)), row
 
 
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:

@@ -153,6 +153,19 @@ def test_verify_period(capsys):
         assert "PASS" in out
 
 
+def test_verify_period_fails_when_the_period_does_not_divide_the_lcm(
+        capsys, monkeypatch):
+    # a geometric lcm of 1 cannot bound the interpolated period 2 at q = 3
+    monkeypatch.setattr(cli, "period_upper_bound", lambda q, *, bound: 1)
+    code, out, _ = run(capsys, "verify-period", "-q", "3")
+    assert code == 1
+    assert out.splitlines() == [
+        "geometric denominator lcm: 1",
+        "interpolated minimized period: 2 (expected 2)",
+        "FAIL",
+    ]
+
+
 def test_verify_period_bound(capsys):
     code, _, err = run(capsys, "verify-period", "-q", "4")
     assert code == 2

@@ -18,11 +18,13 @@ from bishops import (
     codim_of_subset,
     denominator_lcm,
     enumerate_lattice_vertices,
+    geometry,
     hyperplane_normal,
     linalg,
     matroid_check,
     move_arrangement,
     period_upper_bound,
+    signed_cliques,
     solve_incidence_transpose,
     solve_via_clique_graph,
     subset_signed_graph,
@@ -30,7 +32,7 @@ from bishops import (
     vertices_to_json,
 )
 from bishops._testkit import random_clique_solve_instance, random_negative_one_forest
-from bishops.geometry import LatticeVertex
+from bishops.geometry import LatticeVertex, subset_ranks
 
 from helpers import FIXTURE_FIXATION_COORDINATES, example_clique_fixture
 
@@ -136,6 +138,45 @@ def test_matroid_check():
         matroid_check(5)
     with pytest.raises(ValueError):
         matroid_check(-1)
+
+
+def test_matroid_check_reaches_five_pieces():
+    assert matroid_check(5, bound=5) is True
+
+
+def test_matroid_check_fails_when_a_route_is_corrupted(monkeypatch):
+    # the positive hyperplane of pieces 1, 2 gets the negative normal, so
+    # the pair {(1,2,+), (1,2,-)} has matrix rank 1 but forest rank 2
+    honest = geometry.hyperplane_normal
+
+    def swapped(h, q):
+        if (h.i, h.j) == (1, 2):
+            return honest(BishopHyperplane(1, 2, NEGATIVE), q)
+        return honest(h, q)
+
+    monkeypatch.setattr(geometry, "hyperplane_normal", swapped)
+    assert matroid_check(3) is False
+
+
+def per_subset_ranks(subset, q):
+    """The two routes computed afresh for one subset: exact rank of the
+    stacked normals, and 2q minus the signed cliques of the mirror
+    signed graph."""
+    normals = [hyperplane_normal(h, q) for h in subset]
+    pos, neg = signed_cliques(subset_signed_graph(subset, q))
+    return linalg.rank(normals), 2 * q - len(pos) - len(neg)
+
+
+@pytest.mark.parametrize("q", range(5))
+def test_subset_ranks_match_per_subset_routes(q):
+    walked = list(subset_ranks(q))
+    arrangement = move_arrangement(q)
+    assert len(walked) == 2 ** (q * (q - 1))
+    assert ({subset for subset, _, _ in walked}
+            == {subset for size in range(len(arrangement) + 1)
+                for subset in combinations(arrangement, size)})
+    for subset, matrix_rank, graph_rank in walked:
+        assert (matrix_rank, graph_rank) == per_subset_ranks(subset, q)
 
 
 def test_fixation_validation():

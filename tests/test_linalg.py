@@ -3,7 +3,7 @@ references."""
 
 from fractions import Fraction
 from itertools import permutations
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -89,6 +89,38 @@ def dependent_systems(draw):
     else:
         rhs = draw(st.lists(entries, min_size=n_rows, max_size=n_rows))
     return rows, rhs
+
+
+@st.composite
+def stacked_rows(draw):
+    """Up to 8 x 8 matrices of ints or of ints and fractions, in which
+    some rows are combinations of earlier rows."""
+    n_rows = draw(st.integers(min_value=0, max_value=8))
+    n_cols = draw(st.integers(min_value=0, max_value=8))
+    elements = draw(st.sampled_from([small_int, entries]))
+    rows = draw(st.lists(st.lists(elements, min_size=n_cols, max_size=n_cols),
+                         min_size=n_rows, max_size=n_rows))
+    make_dependent(draw, rows)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacked_rows())
+@example([[0, 0], [1, 2], [2, 4], [0, 3]])
+def test_reduce_row_grows_a_basis_of_the_rank(rows):
+    basis = []
+    for at, row in enumerate(rows):
+        # clear denominators; the span is unchanged
+        scale = lcm(*(Fraction(entry).denominator for entry in row))
+        reduced = linalg.reduce_row(
+            basis, [int(entry * scale) for entry in row])
+        if reduced is not None:
+            pivot, kept = reduced
+            assert any(kept)
+            assert kept[pivot] and not any(kept[:pivot])
+            assert all(kept[col] == 0 for col, _ in basis)
+            basis.append(reduced)
+        assert len(basis) == linalg.rank(rows[:at + 1])
 
 
 def test_rank_basics():
