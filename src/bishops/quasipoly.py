@@ -3,17 +3,26 @@
 A quasipolynomial of period p is a list of p ordinary polynomials
 ("constituents"); the one used at integer n is selected by the least
 nonnegative residue of n mod p, which keeps evaluation well defined at
-zero and negative arguments.  Interpolation recovers constituents from
-exact integer samples one residue class at a time: Newton divided
-differences on the first unknowns samples, the rest checked by
-evaluation.
+zero and negative arguments.  Evaluation runs Horner in integers over
+the constituent's common denominator.
+
+Interpolation recovers constituents from exact samples one residue
+class at a time.  The class's values, less any known leading term, are
+first scaled to integers by the lcm of their denominators.  When the
+first ``unknowns`` keys of the class are equally spaced, as the
+samples n = 1..2q*period of :func:`interpolate_bishops` always are, the
+Newton form comes from integer forward differences; any other keys take
+Fraction divided differences.  Either way the remaining samples are
+checked in integers against the scaled fit, and each monomial
+coefficient costs exactly one Fraction at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import cached_property
+from math import factorial, lcm
 from typing import Mapping, Sequence
 
 from .board import BISHOP, Rider
@@ -42,6 +51,27 @@ class InconsistentSamplesError(InterpolationError):
     hypothesis is wrong for the data."""
 
 
+def _exact(value, what: str) -> Fraction:
+    """``value`` as a Fraction.  Only int and Fraction are accepted: a
+    float or a string would be silently turned into some other
+    rational by Fraction()."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise ValueError(f"{what} must be int or Fraction, not "
+                     f"{type(value).__name__}")
+
+
+def _horner(coefficients: Sequence, n: int):
+    """Value at n of the polynomial with these coefficients, highest
+    power first; exact in whatever type the coefficients have."""
+    value = 0
+    for coefficient in coefficients:
+        value = value * n + coefficient
+    return value
+
+
 def _smallest_period(values: Sequence) -> int:
     """Smallest divisor p of len(values) with values[r] == values[r % p]
     for every r; len(values) itself always qualifies."""
@@ -65,20 +95,31 @@ class Quasipolynomial:
             raise ValueError("period must be positive")
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        rows = tuple(tuple(Fraction(c) for c in row) for row in self.constituents)
+        rows = tuple(tuple(_exact(c, "coefficients") for c in row)
+                     for row in self.constituents)
         object.__setattr__(self, "constituents", rows)
         if len(rows) != self.period:
             raise ValueError("need exactly one constituent per residue class")
         if any(len(row) != self.degree + 1 for row in rows):
             raise ValueError("each constituent needs degree + 1 coefficients")
 
+    @cached_property
+    def _integral(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Per constituent, (numerators, d): d is the lcm of its
+        coefficient denominators and numerators[i] = d * coefficient i."""
+        scaled = []
+        for row in self.constituents:
+            d = lcm(*(c.denominator for c in row))
+            scaled.append((tuple(c.numerator * (d // c.denominator)
+                                 for c in row), d))
+        return tuple(scaled)
+
     def evaluate(self, n: int) -> Fraction:
         """Value at any integer n; n % period in Python is already the
-        least nonnegative residue, negative n included."""
-        value = Fraction(0)
-        for coefficient in self.constituents[n % self.period]:
-            value = value * n + coefficient
-        return value
+        least nonnegative residue, negative n included.  Horner runs in
+        integers, and the one Fraction is built at the end."""
+        numerators, d = self._integral[n % self.period]
+        return Fraction(_horner(numerators, n), d)
 
     def coefficient(self, i: int, r: int) -> Fraction:
         """gamma_i of the residue-r constituent, the coefficient of
@@ -151,45 +192,87 @@ class Quasipolynomial:
         return "\n".join(lines)
 
 
-def _newton_fit(points: list[tuple[int, Fraction]],
-                unknowns: int) -> list[Fraction] | None:
-    """Coefficients, highest power first, of the polynomial with
-    ``unknowns`` coefficients through the first ``unknowns`` points, by
-    Newton divided differences; None when a later point misses it.
+def _scale_to_integers(points: list[tuple[int, int | Fraction]],
+                       top: Fraction | None, degree: int
+                       ) -> tuple[int, list[int]]:
+    """(s, ys): s is the lcm of the denominators of the values and of
+    ``top``, and ys[i] = s * (value_i - top * n_i^degree), an integer."""
+    scale = lcm(*(value.denominator for _, value in points),
+                1 if top is None else top.denominator)
+    head = 0 if top is None else top.numerator * (scale // top.denominator)
+    return scale, [value.numerator * (scale // value.denominator)
+                   - (head * n ** degree if head else 0)
+                   for n, value in points]
 
-    Keys must be distinct.  A polynomial through that many distinct
-    points is unique, so the remaining points decide consistency.
+
+def _newton_form(xs: list[int], ys: list[int]) -> tuple[list, int]:
+    """(c, d) with d * p = sum_k c[k] * (x - xs[0]) ... (x - xs[k-1]),
+    where p is the polynomial of degree below len(xs) through the
+    points (xs[i], ys[i]); the xs are distinct and increasing.
+
+    Equally spaced xs, step h, take integer forward differences:
+    c[k] = Delta^k y_0 * (m-1)!/k! * h^(m-1-k) and d = (m-1)! * h^(m-1)
+    for m points, all integers.  Any other xs take Fraction divided
+    differences, with d = 1.
     """
-    xs = [n for n, _ in points[:unknowns]]
-    differences = [value for _, value in points[:unknowns]]
-    for k in range(1, unknowns):
-        for i in range(unknowns - 1, k - 1, -1):
-            differences[i] = ((differences[i] - differences[i - 1])
-                              / (xs[i] - xs[i - k]))
-    # Horner on the Newton form: p = d_k + (x - x_k) * p, k descending
-    coefficients: list[Fraction] = []
+    m = len(xs)
+    h = xs[1] - xs[0] if m > 1 else 1
+    if all(b - a == h for a, b in zip(xs, xs[1:])):
+        c = list(ys)
+        for k in range(1, m):
+            for i in range(m - 1, k - 1, -1):
+                c[i] -= c[i - 1]
+        last = max(m - 1, 0)
+        d = factorial(last) * h ** last
+        return [c[k] * (d // (factorial(k) * h ** k)) for k in range(m)], d
+    c = [Fraction(y) for y in ys]
+    for k in range(1, m):
+        for i in range(m - 1, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - k])
+    return c, 1
+
+
+def _fit(xs: list[int], ys: list[int],
+         unknowns: int) -> tuple[list, int] | None:
+    """(coefficients, d): d times the polynomial with ``unknowns``
+    coefficients through the first ``unknowns`` points, highest power
+    first; None when a later point misses it.
+
+    Keys must be distinct and increasing.  A polynomial through that
+    many distinct points is unique, so the remaining points decide
+    consistency.
+    """
+    newton, d = _newton_form(xs[:unknowns], ys[:unknowns])
+    # Horner on the Newton form: p = c_k + (x - x_k) * p, k descending
+    coefficients: list = []
     for k in range(unknowns - 1, -1, -1):
-        shifted = coefficients + [differences[k]]
+        shifted = coefficients + [newton[k]]
         for j in range(1, len(shifted)):
             shifted[j] -= xs[k] * coefficients[j - 1]
         coefficients = shifted
-    for n, value in points[unknowns:]:
-        fitted = Fraction(0)
-        for coefficient in coefficients:
-            fitted = fitted * n + coefficient
-        if fitted != value:
-            return None
-    return coefficients
+    if any(_horner(coefficients, n) != d * y
+           for n, y in zip(xs[unknowns:], ys[unknowns:])):
+        return None
+    return coefficients, d
 
 
-def interpolate(samples: Mapping[int, int], degree: int, period: int,
-                leading: Fraction | None = None) -> Quasipolynomial:
+def interpolate(samples: Mapping[int, int | Fraction], degree: int,
+                period: int, leading: int | Fraction | None = None
+                ) -> Quasipolynomial:
     """The unique quasipolynomial of this degree and period through the
-    samples, fitted exactly per residue class by Newton divided
-    differences on the first ``unknowns`` samples of the class (in
-    increasing n), the rest checked by evaluation.
+    samples, fitted exactly per residue class on the first ``unknowns``
+    samples of the class (in increasing n), the rest checked against
+    the fit.
 
-    With ``leading`` supplied, gamma_0 is fixed in advance and each class
+    Each class's values, less the leading term when it is known, are
+    scaled to integers by the lcm s of their denominators.  If the
+    first ``unknowns`` keys of the class are equally spaced, the fit
+    runs in integers by forward differences; otherwise it takes
+    Fraction divided differences.  Each coefficient is divided by s
+    (and by the integer Newton scale) exactly once, at the end.
+
+    Sample values and ``leading`` must be int or Fraction.  With
+    ``leading`` supplied, gamma_0 is fixed in advance and each class
     needs only ``degree`` samples instead of degree + 1.  Extra samples
     overdetermine the fit; any contradiction raises
     InconsistentSamplesError instead of being averaged away.
@@ -198,26 +281,27 @@ def interpolate(samples: Mapping[int, int], degree: int, period: int,
         raise ValueError("period must be positive")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    for n in samples:
+    for n, value in samples.items():
         if not isinstance(n, int) or n < 1:
             raise ValueError("sample keys must be positive integers")
+        _exact(value, "sample values")
     items = sorted(samples.items())
     unknowns = degree + 1 if leading is None else degree
-    top = None if leading is None else Fraction(leading)
+    top = None if leading is None else _exact(leading, "leading")
     constituents = []
     for r in range(period):
-        points = [(n, Fraction(value)) for n, value in items
-                  if n % period == r]
+        points = [(n, value) for n, value in items if n % period == r]
         if len(points) < unknowns:
             raise InsufficientSamplesError(r, period, unknowns, len(points))
-        if top is not None:
-            points = [(n, value - top * n ** degree) for n, value in points]
-        coefficients = _newton_fit(points, unknowns)
-        if coefficients is None:
+        scale, ys = _scale_to_integers(points, top, degree)
+        fit = _fit([n for n, _ in points], ys, unknowns)
+        if fit is None:
             raise InconsistentSamplesError(
                 f"samples in residue class {r} (mod {period}) admit no "
                 f"degree-{degree} polynomial; the degree or period "
                 f"hypothesis is wrong")
+        numerators, d = fit
+        coefficients = [Fraction(c, d * scale) for c in numerators]
         if top is not None:
             coefficients = [top] + coefficients
         constituents.append(tuple(coefficients))

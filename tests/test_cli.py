@@ -1,6 +1,9 @@
 """End-to-end runs of the command line, in process."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +27,20 @@ def test_count_single_board(capsys):
     assert code == 0
     assert out.strip() == "26"
     assert err == ""
+
+
+def test_python_dash_m_runs_the_cli():
+    # the package's parent directory on the path, as from a checkout
+    source = str(Path(cli.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [source,
+                                         os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "bishops", "count", "-q", "2", "-n", "3"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0
+    assert result.stdout == "26\n"
+    assert result.stderr == ""
 
 
 def test_count_range_pretty(capsys):

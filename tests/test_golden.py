@@ -50,7 +50,7 @@ CASES = {
        for q in range(1, 9)},
     **{f"interpolate_q{q}_json": ["interpolate", "-q", str(q),
                                   "--format", "json"]
-       for q in (*range(1, 9), 16, 24, 32)},
+       for q in (*range(1, 9), 16, 24, 32, 64, 128)},
     "interpolate_q3_period1": ["interpolate", "-q", "3", "--period", "1"],
     "interpolate_q3_period3": ["interpolate", "-q", "3", "--period", "3"],
     "interpolate_rook_q2": ["interpolate", "-p", ROOK, "-q", "2"],

@@ -31,6 +31,17 @@ def test_construction_validation():
         Quasipolynomial(1, 2, ((F(1), F(0)),))
 
 
+def test_construction_rejects_inexact_coefficients():
+    # Fraction(0.1) would store 3602879701896397/36028797018963968
+    with pytest.raises(ValueError, match="coefficients must be int or "
+                                         "Fraction, not float"):
+        Quasipolynomial(1, 0, ((0.1,),))
+    with pytest.raises(ValueError, match="not str"):
+        Quasipolynomial(1, 1, ((F(1), "1/2"),))
+    assert Quasipolynomial(1, 1, ((1, F(1, 2)),)).constituents == (
+        (F(1), F(1, 2)),)
+
+
 def test_evaluate_selects_constituent_by_residue():
     # n^2 on even n, n on odd n
     quasi = Quasipolynomial(2, 2, ((F(1), F(0), F(0)), (F(0), F(1), F(0))))
@@ -101,6 +112,20 @@ coefficient = st.fractions(
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda period: st.lists(
+    st.lists(coefficient, min_size=4, max_size=4),
+    min_size=period, max_size=period)))
+def test_evaluate_matches_fraction_horner(rows):
+    quasi = Quasipolynomial(len(rows), 3, tuple(map(tuple, rows)))
+    for n in range(-12, 13):
+        expected = F(0)
+        for c in rows[n % len(rows)]:
+            expected = expected * n + c
+        value = quasi.evaluate(n)
+        assert type(value) is F and value == expected
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.lists(coefficient, min_size=3, max_size=3),
        st.lists(coefficient, min_size=3, max_size=3))
 def test_interpolation_recovers_planted_quasipolynomial(even, odd):
@@ -133,9 +158,11 @@ def vandermonde_oracle(samples, degree, period, leading):
 
 @st.composite
 def planted_samples(draw):
-    """Samples of a random rational quasipolynomial at shuffled,
-    irregularly spaced keys, 0-3 beyond the minimum per class, with at
-    most one extra sample corrupted."""
+    """Samples of a random rational quasipolynomial at shuffled keys,
+    0-3 beyond the minimum per class, with at most one extra sample
+    corrupted.  About half of the classes get equally spaced keys (the
+    integer forward-difference fit), the rest irregular ones (the
+    Fraction divided-difference fit)."""
     period = draw(st.integers(1, 3))
     degree = draw(st.integers(0, 6))
     leading = draw(st.none() | coefficient)
@@ -149,8 +176,12 @@ def planted_samples(draw):
     keys = []
     for r in range(period):
         size = unknowns + draw(st.integers(0, 3))
-        steps = draw(st.lists(st.integers(1, 30), min_size=size,
-                              max_size=size, unique=True))
+        if draw(st.booleans()):
+            first, step = draw(st.integers(1, 30)), draw(st.integers(1, 4))
+            steps = [first + step * i for i in range(size)]
+        else:
+            steps = draw(st.lists(st.integers(1, 30), min_size=size,
+                                  max_size=size, unique=True))
         keys += [period * m + r for m in steps]
     keys = draw(st.permutations(keys))
     samples = {n: planted.evaluate(n) for n in keys}
@@ -242,6 +273,18 @@ def test_wrong_leading_is_inconsistent():
         interpolate(samples, 2, 1, leading=F(2))
 
 
+def test_inexact_sample_values_are_rejected():
+    squares = {n: n ** 2 for n in range(1, 4)}
+    with pytest.raises(ValueError, match="sample values must be int or "
+                                         "Fraction, not str"):
+        interpolate({**squares, 4: "16"}, 2, 1)
+    with pytest.raises(ValueError, match="not float"):
+        interpolate({**squares, 2: 4.0}, 2, 1)
+    with pytest.raises(ValueError, match="leading must be int or Fraction"):
+        interpolate(squares, 2, 1, leading=1.0)
+    assert interpolate(squares, 2, 1, leading=1) == interpolate(squares, 2, 1)
+
+
 def test_sample_key_validation():
     with pytest.raises(ValueError):
         interpolate({0: 0, 1: 1, 2: 4, 3: 9}, 2, 1)
@@ -287,3 +330,13 @@ def test_interpolate_bishops_reproduces_counts(q):
     assert quasi.coefficient(0, 0) == F(1, factorial(q))
     for n in range(1, 4 * q + 5):
         assert quasi.evaluate(n) == count_bishops_fast(q, n), (q, n)
+
+
+@pytest.mark.parametrize("q", [64, 128])
+def test_interpolate_bishops_large_q(q):
+    quasi = interpolate_bishops(q)
+    assert quasi.minimize_period().period == 2
+    for n in range(4 * q + 1, 4 * q + 5):
+        assert quasi.evaluate(n) == count_bishops_fast(q, n), (q, n)
+    # the first six coefficients are parity-free, the seventh is not
+    assert quasi.coefficient_periods()[:7] == [1] * 6 + [2]
