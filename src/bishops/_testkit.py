@@ -9,6 +9,12 @@ from random import Random
 from .geometry import Fixation
 from .signed_graph import NEGATIVE, POSITIVE, SignedGraph, _UnionFind, clique_graph
 
+# sizes of the generated instances; a change here changes the instances
+# pinned in tests/golden/testkit/instances.txt
+FOREST_MAX_NODES = 8
+CLIQUE_SOLVE_MAX_Q = 7
+FIXATION_VALUE_RANGE = (-9, 9)
+
 
 def random_signed_graph(rng: Random, *, max_q: int = 8,
                         max_edges: int = 20) -> SignedGraph:
@@ -36,7 +42,7 @@ def random_signed_tree(rng: Random, *, max_q: int = 8) -> SignedGraph:
     return SignedGraph(q, tuple(edges))
 
 
-def random_negative_one_forest(rng: Random, *, max_nodes: int = 8) -> SignedGraph:
+def random_negative_one_forest(rng: Random) -> SignedGraph:
     """Graph in which every component is a tree plus one extra edge whose
     unique circle is negative, so the square incidence matrix is
     nonsingular.
@@ -45,7 +51,7 @@ def random_negative_one_forest(rng: Random, *, max_nodes: int = 8) -> SignedGrap
     values along the tree then tell which sign the extra edge needs for
     its circle to come out negative.
     """
-    nodes = rng.randint(2, max_nodes)
+    nodes = rng.randint(2, FOREST_MAX_NODES)
     sizes = []
     remaining = nodes
     while remaining:
@@ -78,9 +84,7 @@ def random_negative_one_forest(rng: Random, *, max_nodes: int = 8) -> SignedGrap
 
 
 def random_clique_solve_instance(
-        rng: Random, *, max_q: int = 7,
-        value_range: tuple[int, int] = (-9, 9),
-) -> tuple[SignedGraph, list[Fixation]]:
+        rng: Random) -> tuple[SignedGraph, list[Fixation]]:
     """A signed graph plus a fixation set whose edges form a spanning
     negative 1-forest of the doubled clique graph.
 
@@ -89,7 +93,8 @@ def random_clique_solve_instance(
     other axis too; the doubled pair is a one-positive-one-negative
     digon, which supplies the required negative circle.
     """
-    graph = random_signed_graph(rng, max_q=max_q, max_edges=max_q + 3)
+    graph = random_signed_graph(rng, max_q=CLIQUE_SOLVE_MAX_Q,
+                                max_edges=CLIQUE_SOLVE_MAX_Q + 3)
     clique = clique_graph(graph)
     n_pos = len(clique.pos)
     forest = _UnionFind(n_pos + len(clique.neg))
@@ -110,7 +115,7 @@ def random_clique_solve_instance(
         if root not in seen_roots:
             seen_roots.add(root)
             doubled.add(piece)
-    low, high = value_range
+    low, high = FIXATION_VALUE_RANGE
     fixations = []
     for piece in tree_pieces:
         axis = rng.choice(("x", "y"))

@@ -116,17 +116,21 @@ def _bishop_counts(q: int, n_from: int, n_to: int) -> dict[int, int]:
     (n_from, n_from + 2, ... and n_from + 1, n_from + 3, ...) grows by
     :func:`_add_column` in O(q) per column.  The classes interact only
     through how many pieces each takes, hence one convolution per n.
+    Neither board of size at most n_to holds more than n_to rooks, so
+    profiles stop at min(q, n_to) rooks, and q > 2 * n_to gives 0.
     """
     if q < 0 or n_from < 0:
         raise ValueError("q and n must be nonnegative")
+    most = min(q, n_to)
     counts = {}
     for start in range(n_from, min(n_from + 1, n_to) + 1):
-        main, other = [1] + [0] * q, [1] + [0] * q
+        main, other = [1] + [0] * most, [1] + [0] * most
         # the board of size 0 or 1: one column of that length
         _add_column(main, start % 2)
         for n in range(start % 2, n_to + 1, 2):
             if n >= n_from:
-                counts[n] = sum(main[j] * other[q - j] for j in range(q + 1))
+                counts[n] = sum(main[j] * other[q - j]
+                                for j in range(max(q - most, 0), most + 1))
             _add_column(main, n)
             _add_column(main, n + 2)
             _add_column(other, n + 1)

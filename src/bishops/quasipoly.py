@@ -7,14 +7,12 @@ zero and negative arguments.  Evaluation runs Horner in integers over
 the constituent's common denominator.
 
 Interpolation recovers constituents from exact samples one residue
-class at a time.  The class's values, less any known leading term, are
-first scaled to integers by the lcm of their denominators.  When the
-first ``unknowns`` keys of the class are equally spaced, as the
-samples n = 1..2q*period of :func:`interpolate_bishops` always are, the
-Newton form comes from integer forward differences; any other keys take
-Fraction divided differences.  Either way the remaining samples are
-checked in integers against the scaled fit, and each monomial
-coefficient costs exactly one Fraction at the end.
+class at a time, in integers.  The class's values, less any known
+leading term, are scaled to integers by the lcm of their denominators;
+fraction-free divided differences give the Newton form over one integer
+scale, whatever the spacing of the keys; the remaining samples are
+checked in integers against the fit; and each monomial coefficient
+costs exactly one Fraction at the end.
 """
 
 from __future__ import annotations
@@ -205,46 +203,38 @@ def _scale_to_integers(points: list[tuple[int, int | Fraction]],
                    for n, value in points]
 
 
-def _newton_form(xs: list[int], ys: list[int]) -> tuple[list, int]:
-    """(c, d) with d * p = sum_k c[k] * (x - xs[0]) ... (x - xs[k-1]),
-    where p is the polynomial of degree below len(xs) through the
-    points (xs[i], ys[i]); the xs are distinct and increasing.
-
-    Equally spaced xs, step h, take integer forward differences:
-    c[k] = Delta^k y_0 * (m-1)!/k! * h^(m-1-k) and d = (m-1)! * h^(m-1)
-    for m points, all integers.  Any other xs take Fraction divided
-    differences, with d = 1.
-    """
-    m = len(xs)
-    h = xs[1] - xs[0] if m > 1 else 1
-    if all(b - a == h for a, b in zip(xs, xs[1:])):
-        c = list(ys)
-        for k in range(1, m):
-            for i in range(m - 1, k - 1, -1):
-                c[i] -= c[i - 1]
-        last = max(m - 1, 0)
-        d = factorial(last) * h ** last
-        return [c[k] * (d // (factorial(k) * h ** k)) for k in range(m)], d
-    c = [Fraction(y) for y in ys]
-    for k in range(1, m):
-        for i in range(m - 1, k - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - k])
-    return c, 1
-
-
 def _fit(xs: list[int], ys: list[int],
-         unknowns: int) -> tuple[list, int] | None:
+         unknowns: int) -> tuple[list[int], int] | None:
     """(coefficients, d): d times the polynomial with ``unknowns``
     coefficients through the first ``unknowns`` points, highest power
-    first; None when a later point misses it.
+    first, all integers; None when a later point misses it.
 
     Keys must be distinct and increasing.  A polynomial through that
     many distinct points is unique, so the remaining points decide
-    consistency.
+    consistency.  The Newton form comes from fraction-free divided
+    differences: level k sets c_i <- (c_i - c_(i-1)) * L_k / (x_i - x_(i-k))
+    with L_k the lcm of that level's gaps, so c_k ends as W_k times the
+    k-th divided difference, W_k = L_1 ... L_k, and d = W_(m-1) for m
+    unknowns.  Equally spaced keys, step h, have L_k = k*h and every
+    factor 1: c_k is the forward difference and d = (m-1)! * h^(m-1).
     """
-    newton, d = _newton_form(xs[:unknowns], ys[:unknowns])
+    newton = ys[:unknowns]
+    levels = [1]
+    for k in range(1, unknowns):
+        gaps = [b - a for a, b in zip(xs, xs[k:unknowns])]
+        level = lcm(*gaps)
+        levels.append(level)
+        for i in range(unknowns - 1, k - 1, -1):
+            newton[i] -= newton[i - 1]
+            if gaps[i - k] != level:
+                newton[i] *= level // gaps[i - k]
+    # over the common d, coefficient k gains the later levels' factors
+    d = 1
+    for k in range(unknowns - 1, -1, -1):
+        newton[k] *= d
+        d *= levels[k]
     # Horner on the Newton form: p = c_k + (x - x_k) * p, k descending
-    coefficients: list = []
+    coefficients: list[int] = []
     for k in range(unknowns - 1, -1, -1):
         shifted = coefficients + [newton[k]]
         for j in range(1, len(shifted)):
@@ -265,11 +255,9 @@ def interpolate(samples: Mapping[int, int | Fraction], degree: int,
     the fit.
 
     Each class's values, less the leading term when it is known, are
-    scaled to integers by the lcm s of their denominators.  If the
-    first ``unknowns`` keys of the class are equally spaced, the fit
-    runs in integers by forward differences; otherwise it takes
-    Fraction divided differences.  Each coefficient is divided by s
-    (and by the integer Newton scale) exactly once, at the end.
+    scaled to integers by the lcm s of their denominators, and the fit
+    runs in integers over a Newton scale d.  Each coefficient is
+    divided by d * s exactly once, at the end.
 
     Sample values and ``leading`` must be int or Fraction.  With
     ``leading`` supplied, gamma_0 is fixed in advance and each class

@@ -29,6 +29,12 @@ def test_count_single_board(capsys):
     assert err == ""
 
 
+def test_count_huge_q_prints_zero(capsys):
+    # rook profiles are sized by the board, not by q
+    code, out, err = run(capsys, "count", "-q", "1000000000", "-n", "3")
+    assert (code, out, err) == (0, "0\n", "")
+
+
 def test_python_dash_m_runs_the_cli():
     # the package's parent directory on the path, as from a checkout
     source = str(Path(cli.__file__).parent.parent)

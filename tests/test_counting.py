@@ -70,6 +70,7 @@ def test_degenerate_cases():
     assert count_bishops_fast(0, 0) == 1
     assert count_bishops_fast(3, 0) == 0
     assert count_bishops_fast(2, 1) == 0
+    assert count_bishops_fast(10**9, 3) == 0  # profiles sized by n, not q
     assert count_unlabelled_naive(BISHOP, 2, 1) == 0
     with pytest.raises(ValueError):
         count_bishops_fast(-1, 3)
@@ -222,6 +223,8 @@ def per_n_bishop_count(q: int, n: int) -> int:
 @example(q=3, n_from=1, width=2)
 @example(q=0, n_from=0, width=5)
 @example(q=12, n_from=0, width=40)
+@example(q=12, n_from=3, width=5)  # n_to < q <= 2 * n_to: cut profiles
+@example(q=30, n_from=0, width=10)  # q > 2 * n_to: every count is 0
 def test_table_matches_per_n_dp(q, n_from, width):
     """``width`` is n_to - n_from."""
     n_to = n_from + width

@@ -16,9 +16,14 @@ their path from there (``tests/golden/graphs/``).  The generators in
 holds the first 20 instances of each, seeded, in the graph exchange
 format.
 
-Regenerate the files (only when an output change is intended) with
+Record the goldens that are missing, such as new ``CASES`` entries, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+An existing file is re-recorded only when named, and only when an output
+change is intended (``testkit`` names the generator file)::
+
+    PYTHONPATH=src python tests/test_golden.py vertices_q3 testkit
 """
 
 from __future__ import annotations
@@ -166,13 +171,45 @@ def test_testkit_instances_replay():
     assert render_testkit_instances() == expected
 
 
-if __name__ == "__main__":
-    os.chdir(REPO_ROOT)
+def record(names: list[str]) -> None:
+    """Write every golden whose file is missing, and re-record the
+    existing ones in ``names``; run from the repository root."""
+    unknown = set(names) - set(CASES) - {"testkit"}
+    if unknown:
+        raise ValueError(f"no golden named {', '.join(sorted(unknown))}")
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in CASES.items():
+        path = GOLDEN_DIR / f"{name}.txt"
+        if path.exists() and name not in names:
+            continue
         code, stdout, stderr = run_cli(argv)
-        (GOLDEN_DIR / f"{name}.txt").write_bytes(
-            render(argv, code, stdout, stderr).encode("utf-8"))
+        path.write_bytes(render(argv, code, stdout, stderr).encode("utf-8"))
         print(f"{name}: exit {code}", file=sys.stderr)
-    TESTKIT_GOLDEN.parent.mkdir(exist_ok=True)
-    TESTKIT_GOLDEN.write_text(render_testkit_instances(), encoding="utf-8")
+    if not TESTKIT_GOLDEN.exists() or "testkit" in names:
+        TESTKIT_GOLDEN.parent.mkdir(exist_ok=True)
+        TESTKIT_GOLDEN.write_text(render_testkit_instances(), encoding="utf-8")
+        print("testkit: written", file=sys.stderr)
+
+
+def test_record_keeps_existing_goldens_unless_named(tmp_path, monkeypatch):
+    monkeypatch.setitem(globals(), "GOLDEN_DIR", tmp_path)
+    monkeypatch.setitem(globals(), "TESTKIT_GOLDEN",
+                        tmp_path / "testkit" / "instances.txt")
+    monkeypatch.setitem(globals(), "CASES", {
+        "old": ["count", "-q", "2", "-n", "3"],
+        "new": ["count", "-q", "2", "-n", "4"]})
+    monkeypatch.chdir(REPO_ROOT)
+    (tmp_path / "old.txt").write_text("stale")
+    record([])
+    assert (tmp_path / "old.txt").read_text() == "stale"
+    assert parse((tmp_path / "new.txt").read_text())[3] == "92\n"
+    assert TESTKIT_GOLDEN.read_text() == render_testkit_instances()
+    record(["old"])
+    assert parse((tmp_path / "old.txt").read_text())[3] == "26\n"
+    with pytest.raises(ValueError, match="no golden named olf"):
+        record(["olf"])
+
+
+if __name__ == "__main__":
+    os.chdir(REPO_ROOT)
+    record(sys.argv[1:])

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bishops import (
@@ -160,9 +160,9 @@ def vandermonde_oracle(samples, degree, period, leading):
 def planted_samples(draw):
     """Samples of a random rational quasipolynomial at shuffled keys,
     0-3 beyond the minimum per class, with at most one extra sample
-    corrupted.  About half of the classes get equally spaced keys (the
-    integer forward-difference fit), the rest irregular ones (the
-    Fraction divided-difference fit)."""
+    corrupted.  About half of the classes get equally spaced keys, where
+    every scale factor of the fraction-free fit is 1, the rest irregular
+    ones, where some are not."""
     period = draw(st.integers(1, 3))
     degree = draw(st.integers(0, 6))
     leading = draw(st.none() | coefficient)
@@ -190,8 +190,20 @@ def planted_samples(draw):
     return samples, degree, period, leading
 
 
+# keys 1, 2, 4, 7, 11: at levels 1-3 the lcm of the gaps (12, 105, 18)
+# exceeds the largest gap
+UNEVEN_KEYS = Quasipolynomial(1, 4, ((F(1, 3), F(-2), F(0), F(5, 2), F(-7)),))
+# class 0 fitted on 2, 4, 8 (one uneven gap), class 1 on 1, 3, 5
+ONE_UNEVEN_GAP = Quasipolynomial(2, 3, ((F(1, 2), F(1), F(-3, 4), F(2)),
+                                        (F(1, 2), F(0), F(5), F(-1, 3))))
+
+
 @settings(max_examples=200, deadline=None)
 @given(planted_samples())
+@example(({n: UNEVEN_KEYS.evaluate(n) for n in (1, 2, 4, 7, 11, 16)},
+          4, 1, None))
+@example(({n: ONE_UNEVEN_GAP.evaluate(n) for n in (1, 2, 3, 4, 5, 8, 10)},
+          3, 2, F(1, 2)))
 def test_interpolation_matches_vandermonde_oracle(case):
     samples, degree, period, leading = case
     expected = vandermonde_oracle(samples, degree, period, leading)
