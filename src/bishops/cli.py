@@ -46,7 +46,7 @@ from .geometry import (
     verify_half_integrality,
     vertices_to_json,
 )
-from .quasipoly import interpolate_bishops
+from .quasipoly import _fit_table, interpolate_bishops
 from .signed_graph import (
     clique_graph,
     components,
@@ -101,14 +101,12 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
         raise ValueError("q must be at least 1")
     if args.holdout < 1:
         raise ValueError("holdout must be at least 1")
-    quasi = interpolate_bishops(q, period=args.period, rider=rider,
-                                node_budget=args.budget)
+    quasi, holdout = _fit_table(q, args.period, rider, args.budget,
+                                args.holdout)
     degree = quasi.degree
     top = degree * quasi.period
     minimized = quasi.minimize_period()
-    holdout = sample_counts(rider, q, top + 1, top + args.holdout,
-                            node_budget=args.budget)
-    holdout_ok = quasi.verify_against(holdout.entries)
+    holdout_ok = quasi.verify_against(holdout)
     at_minus_one = minimized.evaluate(-1)
     if args.format == "json":
         payload = {

@@ -296,6 +296,22 @@ def interpolate(samples: Mapping[int, int | Fraction], degree: int,
     return Quasipolynomial(period, degree, tuple(constituents))
 
 
+def _fit_table(q: int, period: int, rider: Rider, node_budget: int,
+               holdout: int = 0) -> tuple[Quasipolynomial, dict[int, int]]:
+    """(fit on n = 1..2q*period, counts at the next ``holdout`` sizes),
+    both read from one count table of n = 1..2q*period + holdout."""
+    if q < 1:
+        raise ValueError("q must be at least 1")
+    if period < 1:
+        raise ValueError("period must be positive")
+    top = 2 * q * period
+    counts = sample_counts(rider, q, 1, top + holdout,
+                           node_budget=node_budget).entries
+    fit = interpolate({n: counts[n] for n in range(1, top + 1)}, 2 * q,
+                      period, leading=Fraction(1, factorial(q)))
+    return fit, {n: counts[n] for n in range(top + 1, top + holdout + 1)}
+
+
 def interpolate_bishops(q: int, *, period: int = 2, rider: Rider = BISHOP,
                         node_budget: int = DEFAULT_NODE_BUDGET
                         ) -> Quasipolynomial:
@@ -309,11 +325,4 @@ def interpolate_bishops(q: int, *, period: int = 2, rider: Rider = BISHOP,
     is the minimal budget of 4q samples.  The result is raw (period as
     given); callers decide whether to minimize or verify it.
     """
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    if period < 1:
-        raise ValueError("period must be positive")
-    top = 2 * q * period
-    samples = sample_counts(rider, q, 1, top, node_budget=node_budget)
-    return interpolate(samples.entries, 2 * q, period,
-                       leading=Fraction(1, factorial(q)))
+    return _fit_table(q, period, rider, node_budget)[0]

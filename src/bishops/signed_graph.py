@@ -4,13 +4,15 @@ Nodes are v_1..v_q; edges carry a sign, parallel edges are allowed and
 keep their construction order, loops are not allowed.  The module covers
 components, balance and rank, incidence matrices, signed cliques, the
 bipartite clique graph, irredundant reduction, negative-1-forest
-recognition, and a small text exchange format.
+recognition, and a small text exchange format, with all connectivity on
+one union-find.  Balance is read off the signed double cover, where a
+component is balanced exactly when it lifts to two classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import linalg
 
@@ -81,42 +83,24 @@ def components(graph: SignedGraph) -> list[list[int]]:
     return sorted(groups.values(), key=lambda part: part[0])
 
 
-def _balance_by_component(graph: SignedGraph) -> Iterator[tuple[list[int], bool]]:
-    """Yield (component nodes, balanced) via switching: a component is
-    balanced iff node signs theta exist with sign(e) = theta(i)*theta(j)
-    for every edge, checked by BFS 2-coloring."""
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(graph.q + 1)]
-    for i, j, sign in graph.edges:
-        adjacency[i].append((j, sign))
-        adjacency[j].append((i, sign))
-    theta: dict[int, int] = {}
-    for start in range(1, graph.q + 1):
-        if start in theta:
-            continue
-        theta[start] = 1
-        nodes = [start]
-        queue = [start]
-        balanced = True
-        while queue:
-            v = queue.pop()
-            for w, sign in adjacency[v]:
-                if w not in theta:
-                    theta[w] = theta[v] * sign
-                    nodes.append(w)
-                    queue.append(w)
-                elif theta[w] != theta[v] * sign:
-                    balanced = False
-        yield sorted(nodes), balanced
-
-
 def rank(graph: SignedGraph) -> int:
-    """|N| - b, where b counts the components with no negative circle.
+    """|N| - b, where b counts the balanced components.
 
-    Equals the rational rank of the incidence matrix; the test suite
-    cross-validates the two on randomized graphs.
+    In the double cover node v has copies v and v'; a positive edge
+    joins like copies and a negative edge unlike ones.  A balanced
+    component lifts to two classes that split each node's copies and an
+    unbalanced one to one class, so b is half the split classes.  The
+    result equals the incidence matrix's rank, as the tests check.
     """
-    balanced = sum(1 for _, ok in _balance_by_component(graph) if ok)
-    return graph.q - balanced
+    q = graph.q
+    cover = _UnionFind(2 * q)
+    for i, j, sign in graph.edges:
+        flip = 0 if sign == POSITIVE else q
+        cover.union(i - 1, j - 1 + flip)
+        cover.union(q + i - 1, q + j - 1 - flip)
+    split = {cover.find(v) for v in range(2 * q)
+             if cover.find(v) != cover.find((v + q) % (2 * q))}
+    return q - len(split) // 2
 
 
 def incidence_matrix(graph: SignedGraph) -> list[list[int]]:
@@ -189,25 +173,14 @@ def is_negative_one_forest(graph: SignedGraph) -> bool:
     """True iff every component has exactly one independent circle and
     that circle is negative.
 
-    A component with as many edges as nodes has exactly one circle, and
-    it is negative exactly when the component is unbalanced.  When the
-    whole graph is square this is equivalent to a nonsingular incidence
-    matrix; that equivalence is re-checked here by exact determinant.
+    Full rank means no component is balanced, so each one holds a
+    circle, and |E| = |N| leaves each exactly one, which is negative.
+    For a square graph this is a nonsingular incidence matrix; that
+    equivalence is re-checked here by exact determinant.
     """
-    edge_count: dict[int, int] = {}
-    node_component: dict[int, int] = {}
-    details = list(_balance_by_component(graph))
-    for index, (nodes, _) in enumerate(details):
-        for node in nodes:
-            node_component[node] = index
-        edge_count[index] = 0
-    for i, _, _ in graph.edges:
-        edge_count[node_component[i]] += 1
-    result = all(
-        edge_count[index] == len(nodes) and not balanced
-        for index, (nodes, balanced) in enumerate(details)
-    )
-    if len(graph.edges) == graph.q and graph.q > 0:
+    square = len(graph.edges) == graph.q
+    result = square and rank(graph) == graph.q
+    if square and graph.q > 0:
         nonsingular = linalg.det(incidence_matrix(graph)) != 0
         if nonsingular != result:
             raise AssertionError(

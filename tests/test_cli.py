@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from bishops import cli
+from bishops import cli, counting
+from bishops.board import BISHOP
 from bishops.cli import main
 
 from helpers import DATA_DIR
@@ -166,6 +167,26 @@ def test_interpolate_rejects_vacuous_holdout(capsys, holdout):
     assert code == 2
     assert out == ""
     assert err == "error: holdout must be at least 1\n"
+
+
+def test_interpolate_checks_holdout_before_period(capsys):
+    code, out, err = run(capsys, "interpolate", "-q", "2", "--holdout", "0",
+                         "--period", "0")
+    assert (code, out, err) == (2, "", "error: holdout must be at least 1\n")
+
+
+def test_interpolate_grows_one_count_table(capsys, monkeypatch):
+    # the holdout extends the fit's table instead of regrowing one from n = 1
+    lengths = []
+    add_column = counting._add_column
+    monkeypatch.setattr(counting, "_add_column", lambda counts, length: (
+        lengths.append(length), add_column(counts, length)))
+    counting.sample_counts(BISHOP, 32, 1, 132)
+    one_table = len(lengths)
+    lengths.clear()
+    code, _, _ = run(capsys, "interpolate", "-q", "32", "--holdout", "4")
+    assert code == 0
+    assert len(lengths) == one_table
 
 
 def test_verify_period(capsys):

@@ -92,7 +92,8 @@ CASES = {
     "error_verify_period_q4_bound": ["verify-period", "-q", "4"],
     **{f"graph_{stem}_{fmt}": ["graph", f"{GRAPH_DIR}/{stem}.txt",
                                "--format", fmt]
-       for stem in ("half_integral", "multigraph", "seeded_four")
+       for stem in ("half_integral", "multigraph", "negative_forest",
+                    "seeded_four")
        for fmt in ("pretty", "json")},
     "check_seed0": ["check", "--seed", "0", "--graphs", "50",
                     "--matrices", "40", "--solves", "40"],

@@ -30,7 +30,9 @@ from helpers import example_clique_fixture
 
 
 @st.composite
-def signed_graphs(draw):
+def signed_graphs(draw, square=False):
+    """Up to 12 edges on 1..6 nodes; exactly as many edges as nodes when
+    ``square``, the only shape a negative 1-forest can have."""
     q = draw(st.integers(min_value=1, max_value=6))
     if q == 1:
         return SignedGraph(1, ())
@@ -38,7 +40,7 @@ def signed_graphs(draw):
     edges = draw(st.lists(
         st.tuples(st.sampled_from(pairs),
                   st.sampled_from((POSITIVE, NEGATIVE))),
-        max_size=12))
+        min_size=q if square else 0, max_size=q if square else 12))
     return SignedGraph(q, tuple((i, j, s) for (i, j), s in edges))
 
 
@@ -194,6 +196,22 @@ def test_negative_one_forest_union_needs_every_component():
     ))
     assert is_negative_one_forest(two_digons)
     assert not is_negative_one_forest(one_bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(signed_graphs(), signed_graphs(square=True)))
+def test_negative_one_forest_matches_per_component_reference(graph):
+    # each component needs as many edges as nodes and a nonsingular
+    # incidence block; never routed through signed_graph.rank
+    matrix = incidence_matrix(graph)
+
+    def unicyclic_negative(part):
+        columns = [c for c, (i, _, _) in enumerate(graph.edges) if i in part]
+        return len(columns) == len(part) and linalg.rank(
+            [[matrix[v - 1][c] for c in columns] for v in part]) == len(part)
+
+    expected = all(unicyclic_negative(part) for part in components(graph))
+    assert is_negative_one_forest(graph) == expected
 
 
 def test_cyclomatic():
