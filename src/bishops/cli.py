@@ -9,11 +9,15 @@ count) produces machine-readable output.  Exit status:
 2  the input was rejected: one ``error:`` line on stderr;
 3  an internal invariant was violated: a traceback and one
    ``internal error:`` line on stderr.
+
+:func:`main` parses with one argument parser per process, built on the
+first call and shared by every later one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -290,13 +294,21 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``bishops`` argument parser, built on the first call.
+
+    Every call returns that same parser, which :func:`main` shares
+    across calls; callers must not mutate it.
+    """
     parser = argparse.ArgumentParser(
         prog="bishops",
         description="Exact nonattacking-placement counts, quasipolynomial "
                     "interpolation, and period verification for riders on "
                     "square boards.")
     commands = parser.add_subparsers(dest="command", required=True)
+    budget_help = ("work budget: search nodes for the naive counter, cell "
+                   "updates for the fast table")
 
     count = commands.add_parser(
         "count", help="exact placement counts")
@@ -310,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--format", choices=("pretty", "csv", "json"),
                        default="pretty")
     count.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
-                       help="search-node budget for the naive counter")
+                       help=budget_help)
     count.set_defaults(handler=cmd_count)
 
     interp = commands.add_parser(
@@ -324,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="extra samples verified after interpolation")
     interp.add_argument("--format", choices=("pretty", "json"),
                         default="pretty")
-    interp.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    interp.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+                        help=budget_help)
     interp.set_defaults(handler=cmd_interpolate)
 
     verify = commands.add_parser(

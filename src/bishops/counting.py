@@ -23,7 +23,8 @@ DEFAULT_NODE_BUDGET = 10**9
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """The naive oracle visited more search nodes than its budget allows."""
+    """A count would do more work than its budget allows: search nodes
+    for the naive oracle, cell updates for a fast table."""
 
 
 def _resolve_method(rider: Rider, method: str) -> str:
@@ -197,13 +198,24 @@ def sample_counts(rider: Rider, q: int, n_from: int, n_to: int,
 
     ``method`` is resolved as in :func:`count_unlabelled`; the table
     records the resolved method, "fast" or "naive".  The fast table is
-    built incrementally by :func:`_bishop_counts`; the naive one counts
-    each board size on its own, each within ``node_budget``.
+    built incrementally by :func:`_bishop_counts`, which is charged
+    n_to * min(q, n_to) cell updates against ``node_budget`` before it
+    starts; the naive one counts each board size on its own, each within
+    ``node_budget``.
     """
     if not 0 <= n_from <= n_to:
         raise ValueError("need 0 <= n_from <= n_to")
     method = _resolve_method(rider, method)
+    if q < 0:
+        raise ValueError("q and n must be nonnegative")
+    if node_budget < 0:
+        raise ValueError("node budget must be nonnegative")
     if method == "fast":
+        work = n_to * min(q, n_to)
+        if work > node_budget:
+            raise SearchBudgetExceeded(
+                f"fast count table needs {work} cell updates, more than "
+                f"the budget of {node_budget}")
         entries = _bishop_counts(q, n_from, n_to)
     else:
         entries = {n: count_unlabelled_naive(rider, q, n,

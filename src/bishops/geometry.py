@@ -26,10 +26,10 @@ from .signed_graph import (
     NEGATIVE,
     POSITIVE,
     SignedGraph,
+    _full_rank_square,
     clique_graph,
     double_signed,
     incidence_matrix,
-    is_negative_one_forest,
     signed_cliques,
 )
 
@@ -316,14 +316,26 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _solve_transpose(graph: SignedGraph,
-                     rhs: Sequence[int | Fraction]) -> list[Fraction]:
-    """Exact solution of H(graph)^T w = rhs for a graph the caller has
-    already recognized as a negative 1-forest."""
+                     rhs: Sequence[int | Fraction]) -> list[Fraction] | None:
+    """Exact solution of H(graph)^T w = rhs, or None when the graph is
+    not a negative 1-forest.
+
+    The graph is recognized on its double cover; a square graph is then
+    eliminated once, and whether that elimination finds H singular must
+    agree with the recognition, in both directions.
+    """
+    if len(graph.edges) != graph.q:
+        return None
+    forest = _full_rank_square(graph)
     transposed = [list(column) for column in zip(*incidence_matrix(graph))]
-    solution = linalg.solve(transposed, list(rhs))
-    _require(solution.status == linalg.UNIQUE,
-             "a negative 1-forest must give a nonsingular system")
-    return solution.point
+    solved = linalg.solve_integral(transposed, [[value] for value in rhs])
+    _require((solved is not None) == forest,
+             "negative-1-forest recognition disagrees with the incidence "
+             "matrix")
+    if solved is None:
+        return None
+    d, numerators = solved
+    return [Fraction(row[0], d) for row in numerators]
 
 
 def solve_via_clique_graph(graph: SignedGraph,
@@ -353,12 +365,12 @@ def solve_via_clique_graph(graph: SignedGraph,
     doubled = double_signed(clique)
     psi = SignedGraph(doubled.q, tuple(doubled.edges[fixation.position()]
                                        for fixation in fixations))
-    if not is_negative_one_forest(psi):
+    values = _solve_transpose(psi, [2 * fixation.value
+                                    for fixation in fixations])
+    if values is None:
         raise SingularFixationError(
             "the fixation edges must form a spanning negative 1-forest "
             "of the doubled clique graph; M would be singular")
-    values = _solve_transpose(
-        psi, [2 * Fraction(fixation.value) for fixation in fixations])
     a = tuple(values[:n_pos])
     b = tuple(values[n_pos:])
     _require(all(v.denominator == 1 for v in values),
@@ -394,9 +406,10 @@ def solve_incidence_transpose(graph: SignedGraph,
         raise ValueError("the incidence matrix must be square")
     if len(rhs) != graph.q:
         raise ValueError("need one right-hand side entry per edge")
-    if not is_negative_one_forest(graph):
+    solution = _solve_transpose(graph, rhs)
+    if solution is None:
         raise SingularFixationError("the incidence matrix is singular")
-    return _solve_transpose(graph, rhs)
+    return solution
 
 
 def vertices_to_json(vertices: Iterable[LatticeVertex]) -> str:

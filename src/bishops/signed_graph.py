@@ -169,18 +169,25 @@ def irredundant_reduction(graph: SignedGraph) -> SignedGraph:
     return SignedGraph(graph.q, tuple(kept))
 
 
+def _full_rank_square(graph: SignedGraph) -> bool:
+    """Negative-1-forest recognition on the double cover alone: |E| = |N|
+    and rank |N|.
+
+    Full rank means no component is balanced, so each one holds a
+    circle, and |E| = |N| leaves each exactly one, which is negative.
+    """
+    return len(graph.edges) == graph.q and rank(graph) == graph.q
+
+
 def is_negative_one_forest(graph: SignedGraph) -> bool:
     """True iff every component has exactly one independent circle and
     that circle is negative.
 
-    Full rank means no component is balanced, so each one holds a
-    circle, and |E| = |N| leaves each exactly one, which is negative.
     For a square graph this is a nonsingular incidence matrix; that
     equivalence is re-checked here by exact determinant.
     """
-    square = len(graph.edges) == graph.q
-    result = square and rank(graph) == graph.q
-    if square and graph.q > 0:
+    result = _full_rank_square(graph)
+    if len(graph.edges) == graph.q and graph.q > 0:
         nonsingular = linalg.det(incidence_matrix(graph)) != 0
         if nonsingular != result:
             raise AssertionError(

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line, in process."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from bishops.cli import main
 from helpers import DATA_DIR
 
 FIXTURE = str(DATA_DIR / "clique_example.txt")
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -128,12 +130,36 @@ def test_count_budget_covers_mask_setup(capsys):
     ("count", "-p", "1,0;0,1", "-q", "1", "-n", "3"),
     ("count", "-p", "1,0;0,1", "-q", "2", "-n", "3"),
     ("interpolate", "-p", "1,0;0,1", "-q", "1"),
+    ("count", "-q", "2", "-n", "3"),
+    ("interpolate", "-q", "2"),
 ])
 def test_negative_budget_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv, "--budget", "-5")
     assert code == 2
     assert out == ""
     assert err == "error: node budget must be nonnegative\n"
+
+
+def test_interpolate_huge_q_exceeds_the_budget(capsys):
+    # 4q + 4 board sizes at q rooks each, charged before any table work
+    code, out, err = run(capsys, "interpolate", "-q", "100000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "budget of 1000000000" in err
+
+
+def test_fast_table_budget(capsys):
+    # n = 1..10 at 3 rooks: 30 cell updates
+    code, out, err = run(capsys, "count", "-q", "3", "--n-range", "1..10",
+                         "--budget", "29")
+    assert (code, out) == (2, "")
+    assert err == ("error: fast count table needs 30 cell updates, "
+                   "more than the budget of 29\n")
+    at_budget = run(capsys, "count", "-q", "3", "--n-range", "1..10",
+                    "--budget", "30")
+    assert at_budget == run(capsys, "count", "-q", "3", "--n-range", "1..10")
+    assert at_budget[0] == 0
 
 
 def test_interpolate_pretty(capsys):
@@ -325,3 +351,42 @@ def test_missing_subcommand_exits_via_argparse(capsys):
         main([])
     with pytest.raises(SystemExit):
         main(["count", "--method", "guess", "-q", "1", "-n", "1"])
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    assert run(capsys, "count", "-q", "3", "-n", "5")[0] == 0
+    first = len(built)
+    assert run(capsys, "count", "-q", "3", "-n", "5")[0] == 0
+    assert first > 0
+    assert len(built) == first
+
+
+def test_one_parser_serves_a_sequence_of_calls(capsys, monkeypatch):
+    rejected = ["count", "--method", "guess", "-q", "1", "-n", "1"]
+    monkeypatch.setenv("COLUMNS", "80")
+    source = str(Path(cli.__file__).parent.parent)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "bishops", *rejected],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": source})
+    assert fresh.returncode == 2
+
+    first = run(capsys, "count", "-q", "3", "-n", "5")
+    with pytest.raises(SystemExit) as exit_info:
+        main(rejected)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == fresh.stderr
+    graph = str(GOLDEN_DIR / "graphs" / "negative_forest.txt")
+    code, out, _ = run(capsys, "graph", graph)
+    golden = (GOLDEN_DIR / "graph_negative_forest_pretty.txt").read_text()
+    assert (code, out) == (0, golden.partition("---\n")[2])
+    assert run(capsys, "count", "-q", "3", "-n", "5") == first

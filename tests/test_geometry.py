@@ -25,6 +25,7 @@ from bishops import (
     move_arrangement,
     period_upper_bound,
     signed_cliques,
+    signed_graph,
     solve_incidence_transpose,
     solve_via_clique_graph,
     subset_signed_graph,
@@ -404,3 +405,41 @@ def test_solve_incidence_transpose_half_integrality():
         assert all(value.denominator in (1, 2) for value in solution)
         doubled = solve_incidence_transpose(forest, [2 * v for v in rhs])
         assert all(value.denominator == 1 for value in doubled)
+
+
+NEGATIVE_DIGON = SignedGraph(2, ((1, 2, POSITIVE), (1, 2, NEGATIVE)))
+POSITIVE_DIGON = SignedGraph(2, ((1, 2, POSITIVE), (1, 2, POSITIVE)))
+
+
+def test_each_solve_eliminates_once(monkeypatch):
+    calls = []
+    original = linalg._eliminate
+
+    def counted(m, columns):
+        calls.append(columns)
+        return original(m, columns)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    solve_incidence_transpose(NEGATIVE_DIGON, [0, 1])
+    assert len(calls) == 1
+    fixations = [Fixation(axis, index, 0)
+                 for axis, index in FIXTURE_FIXATION_COORDINATES]
+    solve_via_clique_graph(example_clique_fixture(), fixations)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("offset, solve", [
+    # a negative 1-forest reported one short of full rank
+    (-1, lambda: solve_incidence_transpose(NEGATIVE_DIGON, [0, 1])),
+    (-1, lambda: solve_via_clique_graph(
+        NEGATIVE_DIGON, [Fixation("x", 1, 0), Fixation("y", 2, 0)])),
+    # a positive digon, whose matrix is singular, reported at full rank
+    (0, lambda: solve_incidence_transpose(POSITIVE_DIGON, [0, 1])),
+    (0, lambda: solve_via_clique_graph(
+        NEGATIVE_DIGON, [Fixation("x", 1, 0), Fixation("x", 2, 0)])),
+])
+def test_solvers_check_recognition_against_their_elimination(
+        monkeypatch, offset, solve):
+    monkeypatch.setattr(signed_graph, "rank", lambda graph: graph.q + offset)
+    with pytest.raises(AssertionError, match="disagrees"):
+        solve()
