@@ -1,8 +1,10 @@
-"""Command-line surface.
+"""Command-line surface, and the one place where results are rendered.
 
 Subcommands: count, interpolate, verify-period, vertices, graph, check.
 Output defaults to a human-readable form; --format json (and csv for
-count) produces machine-readable output.  Exit status:
+count) produces machine-readable output: indent-2 JSON, with every
+count as a decimal string and every rational as "num/den", and CSV
+with CRLF line ends.  Exit status:
 
 0  everything the command verified came out true;
 1  a verification failed (FAIL is printed on stdout);
@@ -48,10 +50,10 @@ from .geometry import (
     solve_incidence_transpose,
     solve_via_clique_graph,
     verify_half_integrality,
-    vertices_to_json,
 )
-from .quasipoly import _fit_table, interpolate_bishops
+from .quasipoly import Quasipolynomial, _fit_table, interpolate_bishops
 from .signed_graph import (
+    POSITIVE,
     clique_graph,
     components,
     cyclomatic,
@@ -76,6 +78,42 @@ def _fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _print_json(payload: dict) -> None:
+    print(json.dumps(payload, indent=2))
+
+
+def _quasipolynomial_dict(quasi: Quasipolynomial) -> dict:
+    return {
+        "period": quasi.period,
+        "degree": quasi.degree,
+        "constituents": [[_fraction_str(c) for c in row]
+                         for row in quasi.constituents],
+    }
+
+
+def _quasipolynomial_text(quasi: Quasipolynomial) -> str:
+    """One polynomial in n per residue class, highest power first,
+    without zero terms or unit coefficients."""
+    lines = []
+    for r, row in enumerate(quasi.constituents):
+        terms = []
+        for i, c in enumerate(row):
+            if c == 0:
+                continue
+            power = quasi.degree - i
+            if power == 0:
+                body = str(abs(c))
+            else:
+                monomial = "n" if power == 1 else f"n^{power}"
+                body = monomial if abs(c) == 1 else f"{abs(c)}*{monomial}"
+            terms.append(("- " if c < 0 else "+ ") + body)
+        # the leading term has no "+" and no space after its sign
+        text = " ".join(terms)
+        text = text[2:] if text.startswith("+") else text.replace(" ", "", 1)
+        lines.append(f"n = {r} (mod {quasi.period}): {text or '0'}")
+    return "\n".join(lines)
+
+
 def cmd_count(args: argparse.Namespace) -> int:
     rider = parse_rider(args.piece)
     if (args.n is None) == (args.n_range is None):
@@ -86,15 +124,22 @@ def cmd_count(args: argparse.Namespace) -> int:
         n_from, n_to = _parse_range(args.n_range)
     table = sample_counts(rider, args.q, n_from, n_to, args.method,
                           node_budget=args.budget)
+    entries = sorted(table.entries.items())
     if args.format == "json":
-        print(table.to_json())
+        _print_json({
+            "rider": table.rider,
+            "q": table.q,
+            "method": table.method,
+            "counts": {str(n): str(count) for n, count in entries},
+        })
     elif args.format == "csv":
-        print(table.to_csv(), end="")
+        print("n,count\r\n"
+              + "".join(f"{n},{count}\r\n" for n, count in entries), end="")
     elif args.n is not None:
         print(table.entries[args.n])
     else:
-        for n in sorted(table.entries):
-            print(f"n={n}: {table.entries[n]}")
+        for n, count in entries:
+            print(f"n={n}: {count}")
     return 0
 
 
@@ -113,10 +158,10 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
     holdout_ok = quasi.verify_against(holdout)
     at_minus_one = minimized.evaluate(-1)
     if args.format == "json":
-        payload = {
+        _print_json({
             "rider": rider.name,
             "q": q,
-            "quasipolynomial": minimized.to_json_dict(),
+            "quasipolynomial": _quasipolynomial_dict(minimized),
             "minimized_period": minimized.period,
             "holdout": {
                 "range": [top + 1, top + args.holdout],
@@ -124,11 +169,10 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
             },
             "value_at_minus_1": _fraction_str(at_minus_one),
             "coefficient_periods": quasi.coefficient_periods(),
-        }
-        print(json.dumps(payload, indent=2))
+        })
     else:
         print(f"degree {degree}, minimized period {minimized.period}")
-        print(minimized.pretty())
+        print(_quasipolynomial_text(minimized))
         print(f"holdout n={top + 1}..{top + args.holdout}: "
               f"{'PASS' if holdout_ok else 'FAIL'}")
         print(f"value at n=-1 (reported, not verified): {at_minus_one}")
@@ -155,14 +199,21 @@ def cmd_vertices(args: argparse.Namespace) -> int:
     vertices = enumerate_lattice_vertices(args.q, bound=args.bound)
     ok = verify_half_integrality(vertices)
     if args.format == "json":
-        payload = {
+        _print_json({
             "q": args.q,
             "count": len(vertices),
             "half_integral": ok,
             "denominator_lcm": denominator_lcm(vertices),
-            "vertices": json.loads(vertices_to_json(vertices)),
-        }
-        print(json.dumps(payload, indent=2))
+            "vertices": [{
+                "point": [_fraction_str(c) for c in vertex.point],
+                "hyperplanes": [
+                    {"i": h.i, "j": h.j,
+                     "sign": "+" if h.sign == POSITIVE else "-"}
+                    for h in vertex.hyperplanes],
+                "fixations": [{"coordinate": f.coordinate, "value": f.value}
+                              for f in vertex.fixations],
+            } for vertex in vertices],
+        })
     else:
         print(f"{len(vertices)} vertices for q={args.q}")
         for vertex in vertices:
@@ -174,7 +225,6 @@ def cmd_vertices(args: argparse.Namespace) -> int:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     graph, raw_fixations = parse_graph(Path(args.file).read_text())
-    pos, neg = signed_cliques(graph)
     reduced = irredundant_reduction(graph)
     clique = clique_graph(graph)
     analysis = {
@@ -183,8 +233,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
         "components": len(components(graph)),
         "rank": rank(graph),
         "cyclomatic": cyclomatic(graph),
-        "positive_cliques": [list(part) for part in pos],
-        "negative_cliques": [list(part) for part in neg],
+        "positive_cliques": [list(part) for part in clique.pos],
+        "negative_cliques": [list(part) for part in clique.neg],
         "clique_graph_edges": [[k + 1, l + 1] for k, l in clique.edges],
         "irredundant_edges": len(reduced.edges),
         "negative_one_forest": is_negative_one_forest(graph),
@@ -200,7 +250,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
             "b": [_fraction_str(v) for v in solution.b],
         }
     if args.format == "json":
-        print(json.dumps(analysis, indent=2))
+        _print_json(analysis)
         return 0
     print(f"q = {graph.q}, {len(graph.edges)} edges, "
           f"{analysis['components']} components, rank {analysis['rank']}, "

@@ -7,13 +7,14 @@ cross-validated against each other in the test suite.  A bishop count
 table grows one rook profile pair per parity chain of n, so each board
 size after the first costs O(q) column steps and one convolution.  All
 arithmetic is arbitrary-precision integer; nothing here floats.
+
+Every count by rider and method goes through :func:`sample_counts`,
+which picks the counter and charges the work budget; its table is a
+plain record, rendered by :mod:`bishops.cli`.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 from math import factorial
 
@@ -25,19 +26,6 @@ DEFAULT_NODE_BUDGET = 10**9
 class SearchBudgetExceeded(RuntimeError):
     """A count would do more work than its budget allows: search nodes
     for the naive oracle, cell updates for a fast table."""
-
-
-def _resolve_method(rider: Rider, method: str) -> str:
-    """The counter to use, "fast" or "naive"; "auto" picks the fast
-    counter for the bishop and the naive oracle otherwise."""
-    is_bishop = rider.moves == BISHOP.moves
-    if method == "auto":
-        return "fast" if is_bishop else "naive"
-    if method not in ("naive", "fast"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "fast" and not is_bishop:
-        raise ValueError("the fast counter applies only to the bishop")
-    return method
 
 
 def count_unlabelled_naive(rider: Rider, q: int, n: int,
@@ -147,11 +135,10 @@ def count_bishops_fast(q: int, n: int) -> int:
 
 def count_unlabelled(rider: Rider, q: int, n: int, *, method: str = "auto",
                      node_budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """u(q; n) by the requested method; "auto" picks the fast counter for
-    the bishop and the naive oracle otherwise."""
-    if _resolve_method(rider, method) == "fast":
-        return count_bishops_fast(q, n)
-    return count_unlabelled_naive(rider, q, n, node_budget=node_budget)
+    """u(q; n) by the requested method, within ``node_budget``: one
+    board size of :func:`sample_counts`."""
+    return sample_counts(rider, q, n, n, method,
+                         node_budget=node_budget).entries[n]
 
 
 def count_labelled(rider: Rider, q: int, n: int, *, method: str = "auto",
@@ -170,42 +157,28 @@ class CountTable:
     method: str
     entries: dict[int, int]
 
-    def to_csv(self) -> str:
-        """RFC 4180 text with columns n, count."""
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\r\n")
-        writer.writerow(["n", "count"])
-        for n in sorted(self.entries):
-            writer.writerow([n, self.entries[n]])
-        return buffer.getvalue()
-
-    def to_json(self) -> str:
-        """JSON object; counts are decimal strings since they routinely
-        exceed 64-bit range."""
-        payload = {
-            "rider": self.rider,
-            "q": self.q,
-            "method": self.method,
-            "counts": {str(n): str(self.entries[n]) for n in sorted(self.entries)},
-        }
-        return json.dumps(payload, indent=2)
-
 
 def sample_counts(rider: Rider, q: int, n_from: int, n_to: int,
                   method: str = "auto", *,
                   node_budget: int = DEFAULT_NODE_BUDGET) -> CountTable:
     """Count table for every n in n_from..n_to inclusive.
 
-    ``method`` is resolved as in :func:`count_unlabelled`; the table
-    records the resolved method, "fast" or "naive".  The fast table is
-    built incrementally by :func:`_bishop_counts`, which is charged
-    n_to * min(q, n_to) cell updates against ``node_budget`` before it
-    starts; the naive one counts each board size on its own, each within
-    ``node_budget``.
+    ``method`` "auto" picks the fast counter for the bishop and the
+    naive oracle otherwise; the table records the resolved method,
+    "fast" or "naive".  The fast table is built incrementally by
+    :func:`_bishop_counts`, which is charged n_to * min(q, n_to) cell
+    updates against ``node_budget`` before it starts; the naive one
+    counts each board size on its own, each within ``node_budget``.
     """
     if not 0 <= n_from <= n_to:
         raise ValueError("need 0 <= n_from <= n_to")
-    method = _resolve_method(rider, method)
+    is_bishop = rider.moves == BISHOP.moves
+    if method == "auto":
+        method = "fast" if is_bishop else "naive"
+    elif method not in ("naive", "fast"):
+        raise ValueError(f"unknown method {method!r}")
+    elif method == "fast" and not is_bishop:
+        raise ValueError("the fast counter applies only to the bishop")
     if q < 0:
         raise ValueError("q and n must be nonnegative")
     if node_budget < 0:

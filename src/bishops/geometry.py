@@ -14,7 +14,6 @@ system reconstructs a vertex from its fixations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress, product
@@ -410,22 +409,3 @@ def solve_incidence_transpose(graph: SignedGraph,
     if solution is None:
         raise SingularFixationError("the incidence matrix is singular")
     return solution
-
-
-def vertices_to_json(vertices: Iterable[LatticeVertex]) -> str:
-    """JSON list with each vertex's coordinates as "num/den" strings and
-    its defining hyperplanes and fixations."""
-    payload = []
-    for vertex in vertices:
-        payload.append({
-            "point": [f"{c.numerator}/{c.denominator}" for c in vertex.point],
-            "hyperplanes": [
-                {"i": h.i, "j": h.j, "sign": "+" if h.sign == POSITIVE else "-"}
-                for h in vertex.hyperplanes
-            ],
-            "fixations": [
-                {"coordinate": f.coordinate, "value": f.value}
-                for f in vertex.fixations
-            ],
-        })
-    return json.dumps(payload, indent=2)

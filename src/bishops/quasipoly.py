@@ -147,48 +147,6 @@ class Quasipolynomial:
         return [_smallest_period([row[i] for row in self.constituents])
                 for i in range(self.degree + 1)]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "period": self.period,
-            "degree": self.degree,
-            "constituents": [
-                [f"{c.numerator}/{c.denominator}" for c in row]
-                for row in self.constituents
-            ],
-        }
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    def pretty(self) -> str:
-        """One human-readable polynomial per residue class."""
-        lines = []
-        for r, row in enumerate(self.constituents):
-            terms = []
-            for i, c in enumerate(row):
-                if c == 0:
-                    continue
-                power = self.degree - i
-                if power == 0:
-                    body = str(abs(c))
-                elif power == 1:
-                    body = f"{abs(c)}*n" if abs(c) != 1 else "n"
-                else:
-                    body = f"{abs(c)}*n^{power}" if abs(c) != 1 else f"n^{power}"
-                sign = "-" if c < 0 else "+"
-                terms.append((sign, body))
-            if not terms:
-                text = "0"
-            else:
-                first_sign, first_body = terms[0]
-                text = ("-" if first_sign == "-" else "") + first_body
-                for sign, body in terms[1:]:
-                    text += f" {sign} {body}"
-            lines.append(f"n = {r} (mod {self.period}): {text}")
-        return "\n".join(lines)
-
 
 def _scale_to_integers(points: list[tuple[int, int | Fraction]],
                        top: Fraction | None, degree: int

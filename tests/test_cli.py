@@ -1,15 +1,24 @@
 """End-to-end runs of the command line, in process."""
 
 import argparse
+import ast
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from bishops import cli, counting
+from bishops import (
+    Quasipolynomial,
+    cli,
+    counting,
+    geometry,
+    quasipoly,
+    signed_graph,
+)
 from bishops.board import BISHOP
 from bishops.cli import main
 
@@ -72,6 +81,24 @@ def test_count_json(capsys):
     payload = json.loads(out)
     assert payload["counts"] == {"3": "26"}
     assert payload["method"] == "fast"
+
+
+def test_csv_format(capsys):
+    code, out, _ = run(capsys, "count", "-q", "2", "--n-range", "2..3",
+                       "--method", "fast", "--format", "csv")
+    assert code == 0
+    assert out == "n,count\r\n2,4\r\n3,26\r\n"
+
+
+def test_json_format_counts_are_strings(capsys):
+    code, out, _ = run(capsys, "count", "-q", "2", "--n-range", "2..3",
+                       "--method", "fast", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["rider"] == "bishop"
+    assert payload["q"] == 2
+    assert payload["method"] == "fast"
+    assert payload["counts"] == {"2": "4", "3": "26"}
 
 
 def test_count_naive_method(capsys):
@@ -180,6 +207,23 @@ def test_interpolate_json(capsys):
     assert payload["coefficient_periods"] == [1, 1, 1, 1, 1, 1, 2]
 
 
+def test_json_round_trip(capsys):
+    quasi = Quasipolynomial(2, 1, ((F(1, 2), F(0)), (F(1, 2), F(-3))))
+    cli._print_json(cli._quasipolynomial_dict(quasi))
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["period"] == 2
+    assert payload["degree"] == 1
+    assert payload["constituents"] == [["1/2", "0/1"], ["1/2", "-3/1"]]
+
+
+def test_pretty_mentions_each_residue():
+    quasi = Quasipolynomial(2, 2, ((F(1), F(0), F(0)), (F(1), F(0), F(1, 4))))
+    text = cli._quasipolynomial_text(quasi)
+    assert "n = 0 (mod 2)" in text
+    assert "n = 1 (mod 2)" in text
+    assert "1/4" in text
+
+
 def test_interpolate_rejects_bad_q(capsys):
     code, _, err = run(capsys, "interpolate", "-q", "0")
     assert code == 2
@@ -260,6 +304,18 @@ def test_vertices_json(capsys):
     assert payload["vertices"][0]["point"] == ["0/1", "0/1"]
 
 
+def test_vertices_json_schema(capsys):
+    code, out, _ = run(capsys, "vertices", "-q", "1", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)["vertices"]
+    assert len(payload) == 4
+    for entry in payload:
+        assert set(entry) == {"point", "hyperplanes", "fixations"}
+        assert all("/" in c for c in entry["point"])
+        for fixation in entry["fixations"]:
+            assert set(fixation) == {"coordinate", "value"}
+
+
 def test_graph_pretty(capsys):
     code, out, _ = run(capsys, "graph", FIXTURE)
     assert code == 0
@@ -286,6 +342,23 @@ def test_graph_without_fixations(capsys, tmp_path):
     code, out, _ = run(capsys, "graph", str(path))
     assert code == 0
     assert "solution" not in out
+
+
+def test_graph_derives_the_cliques_once(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "plain.txt"
+    path.write_text("3\n1 2 +\n2 3 -\n")
+    calls = []
+    derive = signed_graph.signed_cliques
+
+    def counted(graph):
+        calls.append(graph)
+        return derive(graph)
+
+    monkeypatch.setattr(signed_graph, "signed_cliques", counted)
+    monkeypatch.setattr(cli, "signed_cliques", counted)
+    code, _, _ = run(capsys, "graph", str(path))
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_graph_missing_file(capsys):
@@ -390,3 +463,15 @@ def test_one_parser_serves_a_sequence_of_calls(capsys, monkeypatch):
     golden = (GOLDEN_DIR / "graph_negative_forest_pretty.txt").read_text()
     assert (code, out) == (0, golden.partition("---\n")[2])
     assert run(capsys, "count", "-q", "3", "-n", "5") == first
+
+
+@pytest.mark.parametrize("module", [counting, quasipoly, geometry])
+def test_library_modules_leave_rendering_to_the_cli(module):
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert not imported & {"json", "csv", "io"}

@@ -1,6 +1,5 @@
 """Counters: brute-force oracle vs the fast dynamic program."""
 
-import json
 from itertools import combinations
 from math import factorial
 
@@ -143,6 +142,19 @@ def test_count_unlabelled_dispatch():
         count_unlabelled(BISHOP, 2, 3, method="guess")
 
 
+def test_count_unlabelled_keeps_the_budget_of_sample_counts():
+    with pytest.raises(ValueError, match="node budget must be nonnegative"):
+        count_unlabelled(BISHOP, 2, 3, node_budget=-1)
+    # the fast table for n = 50 costs 50 * 3 = 150 cell updates
+    with pytest.raises(SearchBudgetExceeded, match="150 cell updates"):
+        count_unlabelled(BISHOP, 3, 50, node_budget=10)
+    with pytest.raises(SearchBudgetExceeded):
+        sample_counts(BISHOP, 3, 50, 50, node_budget=10)
+    assert count_unlabelled(BISHOP, 3, 50, node_budget=150) == 2403440800
+    with pytest.raises(SearchBudgetExceeded):
+        count_labelled(BISHOP, 3, 50, node_budget=10)
+
+
 def test_count_labelled_is_factorial_multiple():
     for q in range(0, 4):
         for n in range(0, 5):
@@ -175,20 +187,6 @@ def test_sample_counts_validation():
         sample_counts(BISHOP, 2, 5, 3, "auto")
     with pytest.raises(SearchBudgetExceeded):
         sample_counts(parse_rider("1,0"), 3, 5, 6, "auto", node_budget=4)
-
-
-def test_csv_format():
-    table = sample_counts(BISHOP, 2, 2, 3, "fast")
-    assert table.to_csv() == "n,count\r\n2,4\r\n3,26\r\n"
-
-
-def test_json_format_counts_are_strings():
-    table = sample_counts(BISHOP, 2, 2, 3, "fast")
-    payload = json.loads(table.to_json())
-    assert payload["rider"] == "bishop"
-    assert payload["q"] == 2
-    assert payload["method"] == "fast"
-    assert payload["counts"] == {"2": "4", "3": "26"}
 
 
 def per_n_bishop_count(q: int, n: int) -> int:

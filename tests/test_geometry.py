@@ -30,12 +30,15 @@ from bishops import (
     solve_via_clique_graph,
     subset_signed_graph,
     verify_half_integrality,
-    vertices_to_json,
 )
 from bishops._testkit import random_clique_solve_instance, random_negative_one_forest
 from bishops.geometry import LatticeVertex, subset_ranks
 
-from helpers import FIXTURE_FIXATION_COORDINATES, example_clique_fixture
+from helpers import (
+    FIXTURE_FIXATION_COORDINATES,
+    example_clique_fixture,
+    reference_solve,
+)
 
 F = Fraction
 
@@ -58,9 +61,9 @@ def direct_solve(graph, fixations):
         row[fixation.position()] = 1
         rows.append(row)
         rhs.append(fixation.value)
-    solution = linalg.solve(rows, rhs)
-    assert solution.status == linalg.UNIQUE
-    return tuple(solution.point)
+    _, status, point = reference_solve(rows, rhs)
+    assert status == linalg.UNIQUE
+    return tuple(point)
 
 
 def test_hyperplane_validation():
@@ -238,16 +241,17 @@ def test_vertices_four_pieces():
 
 
 def fraction_vertices(q):
-    """Independent reference: invert each full square system into
-    Fractions and add its inverse columns for every 0/1 choice of
-    fixation values, keeping the first defining set of each point."""
+    """Independent reference: solve each full square system in
+    Fractions for the unit right-hand side of each fixation and add
+    those columns for every 0/1 choice of fixation values, keeping the
+    first defining set of each point."""
     dim = 2 * q
     arrangement = move_arrangement(q)
     found = {}
     for k in range(dim + 1):
         for subset in combinations(arrangement, k):
             normals = [hyperplane_normal(h, q) for h in subset]
-            if normals and linalg.rank(normals) < k:
+            if normals and reference_solve(normals, [0] * k)[0] < k:
                 continue
             for fixed in combinations(range(dim), dim - k):
                 matrix = [list(row) for row in normals]
@@ -255,12 +259,14 @@ def fraction_vertices(q):
                     unit = [0] * dim
                     unit[coordinate] = 1
                     matrix.append(unit)
-                inverse = linalg.invert(matrix)
-                if inverse is None:
+                if reference_solve(matrix, [0] * dim)[0] < dim:
                     continue
+                columns = [reference_solve(matrix, [int(r == k + t)
+                                                    for r in range(dim)])[2]
+                           for t in range(dim - k)]
                 for values in product((0, 1), repeat=dim - k):
                     point = tuple(
-                        sum((inverse[r][k + t] for t in range(dim - k)
+                        sum((columns[t][r] for t in range(dim - k)
                              if values[t]), Fraction(0))
                         for r in range(dim))
                     if any(c < 0 or c > 1 for c in point) or point in found:
@@ -305,19 +311,6 @@ def test_half_integrality_rejects_bad_points():
     assert not verify_half_integrality([unmatched])
     assert verify_half_integrality([])
     assert denominator_lcm([]) == 1
-
-
-def test_vertices_json_schema():
-    import json
-
-    vertices = enumerate_lattice_vertices(1)
-    payload = json.loads(vertices_to_json(vertices))
-    assert len(payload) == 4
-    for entry in payload:
-        assert set(entry) == {"point", "hyperplanes", "fixations"}
-        assert all("/" in c for c in entry["point"])
-        for fixation in entry["fixations"]:
-            assert set(fixation) == {"coordinate", "value"}
 
 
 def test_clique_solve_fixture_point():

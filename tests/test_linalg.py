@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from bishops import linalg
 
+from helpers import reference_solve
+
 small_int = st.integers(min_value=-6, max_value=6)
 small_fraction = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 entries = st.one_of(small_int, small_fraction)
@@ -33,32 +35,6 @@ def leibniz_det(rows) -> Fraction:
                     start=Fraction(1))
         total += -term if inversions % 2 else term
     return total
-
-
-def reference_solve(rows, rhs) -> tuple[int, str, list[Fraction] | None]:
-    """(rank, solve status, point) by plain Fraction reduced row-echelon
-    form, normalizing each pivot row by its pivot."""
-    m = [[Fraction(entry) for entry in row] + [Fraction(value)]
-         for row, value in zip(rows, rhs)]
-    n_cols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    for col in range(n_cols):
-        row = len(pivots)
-        pivot = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        m[row] = [entry / m[row][col] for entry in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-    if any(m[r][n_cols] != 0 for r in range(len(pivots), len(m))):
-        return len(pivots), linalg.INCONSISTENT, None
-    if len(pivots) < n_cols:
-        return len(pivots), linalg.UNDERDETERMINED, None
-    return len(pivots), linalg.UNIQUE, [row[n_cols] for row in m[:n_cols]]
 
 
 def make_dependent(draw, rows) -> None:
