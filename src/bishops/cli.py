@@ -182,8 +182,6 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
 
 def cmd_verify_period(args: argparse.Namespace) -> int:
     q = args.q
-    if q < 1:
-        raise ValueError("q must be at least 1")
     geometric = period_upper_bound(q, bound=args.bound)
     minimized = interpolate_bishops(q).minimize_period().period
     expected = 1 if q < 3 else 2

@@ -25,10 +25,9 @@ from .signed_graph import (
     NEGATIVE,
     POSITIVE,
     SignedGraph,
-    _full_rank_square,
+    _solve_transpose,
     clique_graph,
     double_signed,
-    incidence_matrix,
     signed_cliques,
 )
 
@@ -312,29 +311,6 @@ class CliqueSolution:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise AssertionError(message)
-
-
-def _solve_transpose(graph: SignedGraph,
-                     rhs: Sequence[int | Fraction]) -> list[Fraction] | None:
-    """Exact solution of H(graph)^T w = rhs, or None when the graph is
-    not a negative 1-forest.
-
-    The graph is recognized on its double cover; a square graph is then
-    eliminated once, and whether that elimination finds H singular must
-    agree with the recognition, in both directions.
-    """
-    if len(graph.edges) != graph.q:
-        return None
-    forest = _full_rank_square(graph)
-    transposed = [list(column) for column in zip(*incidence_matrix(graph))]
-    solved = linalg.solve_integral(transposed, [[value] for value in rhs])
-    _require((solved is not None) == forest,
-             "negative-1-forest recognition disagrees with the incidence "
-             "matrix")
-    if solved is None:
-        return None
-    d, numerators = solved
-    return [Fraction(row[0], d) for row in numerators]
 
 
 def solve_via_clique_graph(graph: SignedGraph,

@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals by integer elimination.
 
-Every rank, determinant, inverse, and linear solve of the geometry and
-signed-graph code goes through one fraction-free Gauss-Jordan kernel
+Geometry and signed graphs call :func:`rank`, :func:`solve_integral`
+and :func:`reduce_row`; these and :func:`det`, :func:`invert` and
+:func:`solve`, kept as API, run on one fraction-free Gauss-Jordan kernel
 (Bareiss 1968) on integer rows; interpolation has its own Newton kernel
 in :mod:`bishops.quasipoly`.  Matrices are lists of rows of ints or
 :class:`fractions.Fraction`; a row with rational entries is first

@@ -4,14 +4,16 @@ Nodes are v_1..v_q; edges carry a sign, parallel edges are allowed and
 keep their construction order, loops are not allowed.  The module covers
 components, balance and rank, incidence matrices, signed cliques, the
 bipartite clique graph, irredundant reduction, negative-1-forest
-recognition, and a small text exchange format, with all connectivity on
-one union-find.  Balance is read off the signed double cover, where a
-component is balanced exactly when it lifts to two classes.
+recognition with its incidence-transpose solve, and a small text
+exchange format, with all connectivity on one union-find.  Balance is
+read off the signed double cover, where a component is balanced exactly
+when it lifts to two classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
@@ -169,31 +171,37 @@ def irredundant_reduction(graph: SignedGraph) -> SignedGraph:
     return SignedGraph(graph.q, tuple(kept))
 
 
-def _full_rank_square(graph: SignedGraph) -> bool:
-    """Negative-1-forest recognition on the double cover alone: |E| = |N|
-    and rank |N|.
+def _solve_transpose(graph: SignedGraph,
+                     rhs: Sequence[int | Fraction]) -> list[Fraction] | None:
+    """Exact solution of H(graph)^T w = rhs, or None when the graph is
+    not a negative 1-forest.
 
-    Full rank means no component is balanced, so each one holds a
-    circle, and |E| = |N| leaves each exactly one, which is negative.
+    A square graph is recognized on its double cover: full rank means no
+    component is balanced, so each one holds a circle, and |E| = |N|
+    leaves each exactly one, which is negative.  H^T is then eliminated
+    once, and whether that elimination finds H singular must agree with
+    the recognition, in both directions.
     """
-    return len(graph.edges) == graph.q and rank(graph) == graph.q
+    if len(graph.edges) != graph.q:
+        return None
+    forest = rank(graph) == graph.q
+    transposed = [list(column) for column in zip(*incidence_matrix(graph))]
+    solved = linalg.solve_integral(transposed, [[value] for value in rhs])
+    if (solved is not None) != forest:
+        raise AssertionError(
+            "negative-1-forest recognition disagrees with the incidence "
+            "matrix")
+    if solved is None:
+        return None
+    d, numerators = solved
+    return [Fraction(row[0], d) for row in numerators]
 
 
 def is_negative_one_forest(graph: SignedGraph) -> bool:
     """True iff every component has exactly one independent circle and
-    that circle is negative.
-
-    For a square graph this is a nonsingular incidence matrix; that
-    equivalence is re-checked here by exact determinant.
-    """
-    result = _full_rank_square(graph)
-    if len(graph.edges) == graph.q and graph.q > 0:
-        nonsingular = linalg.det(incidence_matrix(graph)) != 0
-        if nonsingular != result:
-            raise AssertionError(
-                "negative-1-forest recognition disagrees with the "
-                "incidence determinant")
-    return result
+    that circle is negative: for a square graph, a nonsingular incidence
+    matrix, as one exact solve of H^T w = 0 re-checks."""
+    return _solve_transpose(graph, [0] * len(graph.edges)) is not None
 
 
 def cyclomatic(graph: SignedGraph) -> int:

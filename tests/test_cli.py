@@ -13,6 +13,7 @@ import pytest
 
 from bishops import (
     Quasipolynomial,
+    SignedGraph,
     cli,
     counting,
     geometry,
@@ -153,6 +154,14 @@ def test_count_budget_covers_mask_setup(capsys):
     assert err == "error: naive count exceeded the budget of 1 nodes\n"
 
 
+def test_count_budget_runs_out_mid_search(capsys):
+    # 630 square pairs fit in the budget; the search does not
+    code, out, err = run(capsys, "count", "-p", "1,0;0,1", "-q", "4",
+                         "-n", "6", "--budget", "700")
+    assert (code, out) == (2, "")
+    assert err == "error: naive count exceeded the budget of 700 nodes\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("count", "-p", "1,0;0,1", "-q", "1", "-n", "3"),
     ("count", "-p", "1,0;0,1", "-q", "2", "-n", "3"),
@@ -280,6 +289,12 @@ def test_verify_period_fails_when_the_period_does_not_divide_the_lcm(
     ]
 
 
+@pytest.mark.parametrize("q", ["0", "-3"])
+def test_verify_period_rejects_bad_q(capsys, q):
+    code, out, err = run(capsys, "verify-period", "-q", q)
+    assert (code, out, err) == (2, "", "error: q must be at least 1\n")
+
+
 def test_verify_period_bound(capsys):
     code, _, err = run(capsys, "verify-period", "-q", "4")
     assert code == 2
@@ -396,6 +411,34 @@ def test_check_is_deterministic_for_a_seed(capsys):
     second = run(capsys, "check", "--seed", "9", "--spot", "1",
                  "--graphs", "10", "--matrices", "5", "--solves", "5")
     assert first == second
+
+
+def _plus_one(function):
+    return lambda *args, **kwargs: function(*args, **kwargs) + 1
+
+
+@pytest.mark.parametrize("name, patch, line", [
+    ("count_unlabelled_naive", _plus_one(cli.count_unlabelled_naive),
+     "counter agreement: FAIL (u(2;2): fast 4 != naive 5)"),
+    ("rank", _plus_one(cli.rank), "signed graphs: FAIL (rank mismatch on "),
+    ("irredundant_reduction", lambda graph: SignedGraph(graph.q, ()),
+     "signed graphs: FAIL (reduction changed the cliques of "),
+    ("irredundant_reduction", lambda graph: graph,
+     "signed graphs: FAIL (reduction edge count wrong on "),
+    ("random_signed_tree", lambda rng: SignedGraph(2, ()),
+     "signed graphs: FAIL (signed tree clique count wrong on "),
+    ("solve_incidence_transpose",
+     lambda graph, rhs: [F(1, 3)] * len(rhs),
+     "incidence transpose solves: FAIL (solution not weakly half-integral "),
+])
+def test_check_reports_a_failing_suite(capsys, monkeypatch, name, patch,
+                                       line):
+    monkeypatch.setattr(cli, name, patch)
+    code, out, err = run(capsys, "check", "--seed", "0", "--spot", "0",
+                         "--graphs", "5", "--matrices", "1", "--solves", "0")
+    failures = [row for row in out.splitlines() if ": FAIL" in row]
+    assert (code, err, len(failures)) == (1, "", 1)
+    assert failures[0].startswith(line)
 
 
 @pytest.mark.parametrize("flag", ["--spot", "--graphs", "--matrices",

@@ -125,6 +125,14 @@ def test_budget_charges_square_pairs_before_building_masks(monkeypatch):
     assert count_unlabelled_naive(rook, 10, 3, node_budget=0) == 0
 
 
+def test_budget_runs_out_mid_search():
+    # 36 squares charge 630 pairs up front, leaving 70 search nodes
+    with pytest.raises(SearchBudgetExceeded,
+                       match="exceeded the budget of 700 nodes"):
+        count_unlabelled_naive(BISHOP, 4, 6, node_budget=700)
+    assert count_unlabelled_naive(BISHOP, 4, 6, node_budget=10**6) == 16428
+
+
 @pytest.mark.parametrize("q", [0, 1, 2])
 def test_negative_budget_rejected_for_every_q(q):
     with pytest.raises(ValueError, match="node budget must be nonnegative"):

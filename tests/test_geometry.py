@@ -20,6 +20,7 @@ from bishops import (
     enumerate_lattice_vertices,
     geometry,
     hyperplane_normal,
+    is_negative_one_forest,
     linalg,
     matroid_check,
     move_arrangement,
@@ -114,6 +115,17 @@ def test_codim_small_cases():
 def test_codim_of_full_arrangement():
     for q in range(2, 5):
         assert codim_of_subset(move_arrangement(q), q) == 2 * (q - 1)
+
+
+def test_codim_mismatch_stops(monkeypatch):
+    # singleton cliques claim sign-class rank 0 against matrix rank 1
+    def singletons(graph):
+        parts = [[v] for v in range(1, graph.q + 1)]
+        return parts, parts
+
+    monkeypatch.setattr(geometry, "signed_cliques", singletons)
+    with pytest.raises(AssertionError, match="codimension mismatch"):
+        codim_of_subset(move_arrangement(2)[:1], 2)
 
 
 def test_dim_plus_codim_identity():
@@ -419,6 +431,10 @@ def test_each_solve_eliminates_once(monkeypatch):
                  for axis, index in FIXTURE_FIXATION_COORDINATES]
     solve_via_clique_graph(example_clique_fixture(), fixations)
     assert len(calls) == 2
+    assert is_negative_one_forest(NEGATIVE_DIGON)
+    assert len(calls) == 3
+    assert not is_negative_one_forest(POSITIVE_DIGON)
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("offset, solve", [
@@ -430,6 +446,8 @@ def test_each_solve_eliminates_once(monkeypatch):
     (0, lambda: solve_incidence_transpose(POSITIVE_DIGON, [0, 1])),
     (0, lambda: solve_via_clique_graph(
         NEGATIVE_DIGON, [Fixation("x", 1, 0), Fixation("x", 2, 0)])),
+    (-1, lambda: is_negative_one_forest(NEGATIVE_DIGON)),
+    (0, lambda: is_negative_one_forest(POSITIVE_DIGON)),
 ])
 def test_solvers_check_recognition_against_their_elimination(
         monkeypatch, offset, solve):

@@ -104,6 +104,10 @@ CASES = {
     "error_count_negative_q_range": ["count", "-q", "-1", "--n-range",
                                      "0..3"],
     "error_graph_singular": ["graph", f"{GRAPH_DIR}/singular.txt"],
+    **{f"error_graph_{stem}": ["graph", f"{GRAPH_DIR}/{stem}.txt"]
+       for stem in ("bad_edge_fields", "bad_node_index", "bad_fixation",
+                    "bad_fixation_value", "loop")},
+    "error_count_range_syntax": ["count", "-q", "2", "--n-range", "5"],
 }
 
 
