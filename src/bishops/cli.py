@@ -69,7 +69,7 @@ from .signed_graph import (
 
 def _parse_range(text: str) -> tuple[int, int]:
     head, sep, tail = text.partition("..")
-    if not sep or not head.strip().isdigit() or not tail.strip().isdigit():
+    if not sep or not head.strip().isdecimal() or not tail.strip().isdecimal():
         raise ValueError(f"bad range {text!r}: expected 'from..to'")
     return int(head), int(tail)
 
@@ -124,7 +124,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         n_from, n_to = _parse_range(args.n_range)
     table = sample_counts(rider, args.q, n_from, n_to, args.method,
                           node_budget=args.budget)
-    entries = sorted(table.entries.items())
+    entries = table.entries.items()
     if args.format == "json":
         _print_json({
             "rider": table.rider,
@@ -223,8 +223,10 @@ def cmd_vertices(args: argparse.Namespace) -> int:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     graph, raw_fixations = parse_graph(Path(args.file).read_text())
+    fixations = [Fixation(*raw) for raw in raw_fixations]
+    solution = solve_via_clique_graph(graph, fixations) if fixations else None
+    clique = clique_graph(graph) if solution is None else solution.clique
     reduced = irredundant_reduction(graph)
-    clique = clique_graph(graph)
     analysis = {
         "q": graph.q,
         "edges": len(graph.edges),
@@ -237,11 +239,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
         "irredundant_edges": len(reduced.edges),
         "negative_one_forest": is_negative_one_forest(graph),
     }
-    solution = None
-    if raw_fixations:
-        fixations = [Fixation(axis, index, value)
-                     for axis, index, value in raw_fixations]
-        solution = solve_via_clique_graph(graph, fixations)
+    if solution is not None:
         analysis["solution"] = {
             "point": [_fraction_str(c) for c in solution.point],
             "a": [_fraction_str(v) for v in solution.a],

@@ -150,7 +150,7 @@ def count_labelled(rider: Rider, q: int, n: int, *, method: str = "auto",
 
 @dataclass(frozen=True)
 class CountTable:
-    """Counts u(q; n) for one rider and piece count over a range of n."""
+    """Counts u(q; n) for one rider and piece count; entries in order of n."""
 
     rider: str
     q: int

@@ -24,6 +24,7 @@ from . import linalg
 from .signed_graph import (
     NEGATIVE,
     POSITIVE,
+    CliqueGraph,
     SignedGraph,
     _solve_transpose,
     clique_graph,
@@ -300,12 +301,13 @@ def period_upper_bound(q: int, *, bound: int = 3) -> int:
 @dataclass(frozen=True)
 class CliqueSolution:
     """Solution of a clique-graph system: the point, the per-positive-
-    clique sums a_k = x_i + y_i, and the per-negative-clique values
-    b_l = -x_i + y_i."""
+    clique sums a_k = x_i + y_i, the per-negative-clique values
+    b_l = -x_i + y_i, and the clique graph whose cliques index a and b."""
 
     point: tuple[Fraction, ...]
     a: tuple[Fraction, ...]
     b: tuple[Fraction, ...]
+    clique: CliqueGraph
 
 
 def _require(condition: bool, message: str) -> None:
@@ -330,7 +332,6 @@ def solve_via_clique_graph(graph: SignedGraph,
     on the way out, as is every defining equation.
     """
     clique = clique_graph(graph)
-    n_pos = len(clique.pos)
     for fixation in fixations:
         if not 1 <= fixation.index <= graph.q:
             raise ValueError(
@@ -346,8 +347,8 @@ def solve_via_clique_graph(graph: SignedGraph,
         raise SingularFixationError(
             "the fixation edges must form a spanning negative 1-forest "
             "of the doubled clique graph; M would be singular")
-    a = tuple(values[:n_pos])
-    b = tuple(values[n_pos:])
+    n_pos = len(clique.pos)
+    a, b = tuple(values[:n_pos]), tuple(values[n_pos:])
     _require(all(v.denominator == 1 for v in values),
              "an even right-hand side must give integral clique values")
     point: list[Fraction] = []
@@ -370,7 +371,7 @@ def solve_via_clique_graph(graph: SignedGraph,
         _require(point[at].denominator == point[at + 1].denominator
                  and point[at].denominator in (1, 2),
                  "piece coordinates must be integral or both strict halves")
-    return CliqueSolution(tuple(point), a, b)
+    return CliqueSolution(tuple(point), a, b, clique)
 
 
 def solve_incidence_transpose(graph: SignedGraph,

@@ -3,11 +3,11 @@
 Nodes are v_1..v_q; edges carry a sign, parallel edges are allowed and
 keep their construction order, loops are not allowed.  The module covers
 components, balance and rank, incidence matrices, signed cliques, the
-bipartite clique graph, irredundant reduction, negative-1-forest
-recognition with its incidence-transpose solve, and a small text
-exchange format, with all connectivity on one union-find.  Balance is
-read off the signed double cover, where a component is balanced exactly
-when it lifts to two classes.
+clique graph, irredundant reduction, negative-1-forest recognition with
+its incidence-transpose solve, and a text exchange format, with all
+connectivity on union-find.  Balance is read off the signed double cover.
+One pass unions each edge into its sign's forest: the signed cliques are
+its classes, and the irredundant reduction is the edges that merged two.
 """
 
 from __future__ import annotations
@@ -72,6 +72,21 @@ class _UnionFind:
         self.parent[rb] = ra
         return True
 
+    def classes(self) -> list[list[int]]:
+        """1-based classes, each ascending, listed by least node."""
+        groups: dict[int, list[int]] = {}
+        for node in range(len(self.parent)):
+            groups.setdefault(self.find(node), []).append(node + 1)
+        return list(groups.values())
+
+
+def _by_sign(graph: SignedGraph) -> tuple[list[Edge], _UnionFind, _UnionFind]:
+    """(edges that merge two classes of their sign, + forest, - forest)."""
+    forests = {POSITIVE: _UnionFind(graph.q), NEGATIVE: _UnionFind(graph.q)}
+    merged = [edge for edge in graph.edges
+              if forests[edge[2]].union(edge[0] - 1, edge[1] - 1)]
+    return merged, forests[POSITIVE], forests[NEGATIVE]
+
 
 def components(graph: SignedGraph) -> list[list[int]]:
     """Connected components of the underlying graph, each sorted, listed
@@ -79,10 +94,7 @@ def components(graph: SignedGraph) -> list[list[int]]:
     forest = _UnionFind(graph.q)
     for i, j, _ in graph.edges:
         forest.union(i - 1, j - 1)
-    groups: dict[int, list[int]] = {}
-    for node in range(1, graph.q + 1):
-        groups.setdefault(forest.find(node - 1), []).append(node)
-    return sorted(groups.values(), key=lambda part: part[0])
+    return forest.classes()
 
 
 def rank(graph: SignedGraph) -> int:
@@ -120,13 +132,8 @@ def signed_cliques(graph: SignedGraph) -> tuple[list[list[int]], list[list[int]]
     """(positive cliques, negative cliques): the components of the
     spanning all-positive and all-negative subgraphs.  Isolated nodes
     appear as singletons on both sides."""
-
-    def side(sign: int) -> list[list[int]]:
-        subgraph = SignedGraph(
-            graph.q, tuple(e for e in graph.edges if e[2] == sign))
-        return components(subgraph)
-
-    return side(POSITIVE), side(NEGATIVE)
+    _, positive, negative = _by_sign(graph)
+    return positive.classes(), negative.classes()
 
 
 @dataclass(frozen=True)
@@ -162,13 +169,7 @@ def irredundant_reduction(graph: SignedGraph) -> SignedGraph:
     """Subgraph with the same signed cliques in which both sign classes
     are forests: an edge survives iff it joins two components of its own
     sign class among the edges kept so far.  Keeps 2q - |A| - |B| edges."""
-    forests = {POSITIVE: _UnionFind(graph.q), NEGATIVE: _UnionFind(graph.q)}
-    kept = []
-    for edge in graph.edges:
-        i, j, sign = edge
-        if forests[sign].union(i - 1, j - 1):
-            kept.append(edge)
-    return SignedGraph(graph.q, tuple(kept))
+    return SignedGraph(graph.q, tuple(_by_sign(graph)[0]))
 
 
 def _solve_transpose(graph: SignedGraph,
@@ -244,7 +245,7 @@ def parse_graph(text: str) -> tuple[SignedGraph, list[RawFixation]]:
             continue
         fields = line.split()
         if q is None:
-            if len(fields) != 1 or not fields[0].isdigit():
+            if len(fields) != 1 or not fields[0].isdecimal():
                 raise ValueError(f"line {number}: expected the node count")
             q = int(fields[0])
             continue
@@ -255,7 +256,7 @@ def parse_graph(text: str) -> tuple[SignedGraph, list[RawFixation]]:
             coordinate = fields[1]
             axis = coordinate[0]
             index_text = coordinate[1:].lstrip("_")
-            if axis not in ("x", "y") or not index_text.isdigit():
+            if axis not in ("x", "y") or not index_text.isdecimal():
                 raise ValueError(
                     f"line {number}: bad coordinate {coordinate!r}")
             try:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from pathlib import Path
 
-from bishops import SignedGraph, linalg
+from bishops import NEGATIVE, POSITIVE, SignedGraph, linalg
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -64,3 +64,55 @@ def reference_solve(rows, rhs) -> tuple[int, str, list[Fraction] | None]:
     if len(pivots) < n_cols:
         return len(pivots), linalg.UNDERDETERMINED, None
     return len(pivots), linalg.UNIQUE, [row[n_cols] for row in m[:n_cols]]
+
+
+def reference_signed_cliques(
+        graph: SignedGraph) -> tuple[list[list[int]], list[list[int]]]:
+    """(positive cliques, negative cliques) by a depth-first search over
+    each sign's adjacency lists, each clique sorted, listed by least
+    node; uses no connectivity code of ``bishops.signed_graph``."""
+
+    def side(sign: int) -> list[list[int]]:
+        neighbours: dict[int, list[int]] = {
+            v: [] for v in range(1, graph.q + 1)}
+        for i, j, edge_sign in graph.edges:
+            if edge_sign == sign:
+                neighbours[i].append(j)
+                neighbours[j].append(i)
+        seen: set[int] = set()
+        cliques = []
+        for start in range(1, graph.q + 1):
+            if start in seen:
+                continue
+            seen.add(start)
+            stack, clique = [start], []
+            while stack:
+                node = stack.pop()
+                clique.append(node)
+                for other in neighbours[node]:
+                    if other not in seen:
+                        seen.add(other)
+                        stack.append(other)
+            cliques.append(sorted(clique))
+        return cliques
+
+    return side(POSITIVE), side(NEGATIVE)
+
+
+def reference_irredundant_edges(graph: SignedGraph) -> tuple:
+    """The edges, in order, that join two trees of their own sign's
+    greedy forest over the edges before them."""
+    parent: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def find(node: tuple[int, int]) -> tuple[int, int]:
+        while parent.get(node, node) != node:
+            node = parent[node]
+        return node
+
+    kept = []
+    for i, j, sign in graph.edges:
+        a, b = find((sign, i)), find((sign, j))
+        if a != b:
+            parent[b] = a
+            kept.append((i, j, sign))
+    return tuple(kept)

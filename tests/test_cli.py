@@ -359,9 +359,14 @@ def test_graph_without_fixations(capsys, tmp_path):
     assert "solution" not in out
 
 
-def test_graph_derives_the_cliques_once(capsys, monkeypatch, tmp_path):
-    path = tmp_path / "plain.txt"
-    path.write_text("3\n1 2 +\n2 3 -\n")
+@pytest.mark.parametrize("text", [
+    "3\n1 2 +\n2 3 -\n",
+    (GOLDEN_DIR / "graphs" / "half_integral.txt").read_text(),
+], ids=["plain", "half_integral"])
+def test_graph_derives_the_cliques_once(capsys, monkeypatch, tmp_path, text):
+    # half_integral has fixations, so the clique graph is also solved
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
     calls = []
     derive = signed_graph.signed_cliques
 
@@ -374,6 +379,13 @@ def test_graph_derives_the_cliques_once(capsys, monkeypatch, tmp_path):
     code, _, _ = run(capsys, "graph", str(path))
     assert code == 0
     assert len(calls) == 1
+
+
+def test_count_range_rejects_superscript_digits(capsys):
+    # "²".isdigit() holds, but int("²") fails
+    code, out, err = run(capsys, "count", "-q", "2", "--n-range", "²..3")
+    assert (code, out) == (2, "")
+    assert err == "error: bad range '²..3': expected 'from..to'\n"
 
 
 def test_graph_missing_file(capsys):

@@ -106,7 +106,8 @@ CASES = {
     "error_graph_singular": ["graph", f"{GRAPH_DIR}/singular.txt"],
     **{f"error_graph_{stem}": ["graph", f"{GRAPH_DIR}/{stem}.txt"]
        for stem in ("bad_edge_fields", "bad_node_index", "bad_fixation",
-                    "bad_fixation_value", "loop")},
+                    "bad_fixation_value", "loop", "fixation_out_of_range",
+                    "fixation_index_zero")},
     "error_count_range_syntax": ["count", "-q", "2", "--n-range", "5"],
 }
 

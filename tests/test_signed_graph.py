@@ -26,7 +26,11 @@ from bishops import (
 )
 from bishops._testkit import random_signed_tree
 
-from helpers import example_clique_fixture
+from helpers import (
+    example_clique_fixture,
+    reference_irredundant_edges,
+    reference_signed_cliques,
+)
 
 
 @st.composite
@@ -127,6 +131,28 @@ def test_clique_count_identity(graph):
     rank_pos = graph.q - len(pos)
     rank_neg = graph.q - len(neg)
     assert len(pos) + len(neg) == 2 * graph.q - rank_pos - rank_neg
+
+
+def test_signed_cliques_builds_no_signed_graph(monkeypatch):
+    graph = example_clique_fixture()
+    built = []
+    validate = SignedGraph.__post_init__
+
+    def counted(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(SignedGraph, "__post_init__", counted)
+    signed_cliques(graph)
+    assert built == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_graphs())
+def test_sign_classes_match_reference(graph):
+    assert signed_cliques(graph) == reference_signed_cliques(graph)
+    assert irredundant_reduction(graph).edges == reference_irredundant_edges(
+        graph)
 
 
 def test_clique_graph_fixture():
@@ -262,3 +288,14 @@ def test_parse_graph_errors_carry_line_numbers():
         parse_graph("3\n1 2 +\nfix z_1 = 0\n")
     with pytest.raises(ValueError):
         parse_graph("")
+
+
+def test_parse_graph_node_count_must_be_decimal():
+    # "²".isdigit() holds, but int("²") fails
+    with pytest.raises(ValueError, match="^line 2: expected the node count$"):
+        parse_graph("# q\n²\n")
+
+
+def test_parse_graph_fixation_index_must_be_decimal():
+    with pytest.raises(ValueError, match="^line 3: bad coordinate 'x_²'$"):
+        parse_graph("2\n1 2 +\nfix x_² = 0\n")
