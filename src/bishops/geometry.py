@@ -50,7 +50,9 @@ class NonIntegerFixationError(ValueError):
 class BishopHyperplane:
     """Attack locus of pieces i < j: sign +1 is x_i - y_i = x_j - y_j
     (northeast diagonals), sign -1 is x_i + y_i = x_j + y_j (northwest
-    diagonals)."""
+    diagonals).  Signed graphs label the same two families the other
+    way round, a positive edge sharing x + y; the two labelings meet in
+    :func:`subset_signed_graph` and the clique-graph solver's re-check."""
 
     i: int
     j: int
@@ -70,23 +72,31 @@ def move_arrangement(q: int) -> list[BishopHyperplane]:
             for sign in (POSITIVE, NEGATIVE)]
 
 
+def _attack_terms(i: int, j: int, sign: int) -> dict[int, int]:
+    """Coefficients, by coordinate offset, of the attack equation
+    x_i - sign * y_i - x_j + sign * y_j = 0 of hyperplane sign ``sign``."""
+    return {2 * i - 2: 1, 2 * i - 1: -sign, 2 * j - 2: -1, 2 * j - 1: sign}
+
+
+def _mirror_sign(sign: int) -> int:
+    """Hyperplane sign s is edge sign -s, and edge sign s hyperplane -s."""
+    return -sign
+
+
 def hyperplane_normal(h: BishopHyperplane, q: int) -> list[int]:
     """Coefficient vector of the hyperplane equation over
     (x_1, y_1, ..., x_q, y_q)."""
     if h.j > q:
         raise ValueError(f"piece index {h.j} out of range for q={q}")
-    row = [0] * (2 * q)
-    row[2 * (h.i - 1)] = 1
-    row[2 * (h.i - 1) + 1] = -h.sign
-    row[2 * (h.j - 1)] = -1
-    row[2 * (h.j - 1) + 1] = h.sign
-    return row
+    terms = _attack_terms(h.i, h.j, h.sign)
+    return [terms.get(c, 0) for c in range(2 * q)]
 
 
 def subset_signed_graph(subset: Iterable[BishopHyperplane], q: int) -> SignedGraph:
-    """Signed graph on the q pieces with one edge (i, j, sign) per
-    hyperplane of the subset."""
-    return SignedGraph(q, tuple((h.i, h.j, h.sign) for h in subset))
+    """Signed graph on the q pieces with one edge per hyperplane of the
+    subset, hyperplane (i, j, s) becoming edge (i, j, -s) so that both
+    state the same equation (see :class:`BishopHyperplane`)."""
+    return SignedGraph(q, tuple((h.i, h.j, _mirror_sign(h.sign)) for h in subset))
 
 
 def codim_of_subset(subset: Iterable[BishopHyperplane], q: int) -> int:
@@ -272,18 +282,15 @@ def enumerate_lattice_vertices(q: int, *, bound: int = 3) -> list[LatticeVertex]
     return sorted(found.values(), key=lambda vertex: vertex.point)
 
 
+def _half_integral(point: Sequence[Fraction]) -> bool:
+    """True iff each piece's (x_i, y_i) are both integers or both strict halves."""
+    return all(x.denominator == y.denominator in (1, 2)
+               for x, y in zip(point[::2], point[1::2]))
+
+
 def verify_half_integrality(vertices: Iterable[LatticeVertex]) -> bool:
-    """True iff every coordinate has denominator 1 or 2 and, within each
-    piece's pair (x_i, y_i), both are integers or both are strict
-    halves."""
-    for vertex in vertices:
-        denominators = [c.denominator for c in vertex.point]
-        if any(d not in (1, 2) for d in denominators):
-            return False
-        for at in range(0, len(denominators), 2):
-            if denominators[at] != denominators[at + 1]:
-                return False
-    return True
+    """True iff every vertex is half-integral with matched pairs."""
+    return all(_half_integral(vertex.point) for vertex in vertices)
 
 
 def denominator_lcm(vertices: Iterable[LatticeVertex]) -> int:
@@ -320,16 +327,18 @@ def solve_via_clique_graph(graph: SignedGraph,
     """Reconstruct the point pinned by a signed graph's equalities plus
     integer fixations, through the clique-graph system M^T (a; b) = 2(c; d).
 
-    Pieces joined by positive edges share the coordinate sum
-    x_i + y_i (the clique value a_k); pieces joined by negative edges
-    share -x_i + y_i (the value b_l).  Each fixation selects the x or y
+    Pieces joined by positive edges share x_i + y_i (the clique value
+    a_k), pieces joined by negative edges share -x_i + y_i (the value
+    b_l): the signed-graph labeling, into which :func:`subset_signed_graph`
+    maps an arrangement subset.  Each fixation selects the x or y
     edge of its piece in the doubled clique graph (x is positive, y is
     negative); those edges must form a spanning negative 1-forest, which
     is exactly what makes M = H(Psi) nonsingular.  The right-hand side
-    2(c; d) is even, so a and b come out integral and every coordinate
-    x_i = (a_k - b_l)/2, y_i = (a_k + b_l)/2 is a weak half integer with
-    matched parity inside each piece's pair; both facts are re-checked
-    on the way out, as is every defining equation.
+    2(c; d) is even, so a and b come out integral, which is to say every
+    coordinate x_i = (a_k - b_l)/2, y_i = (a_k + b_l)/2 is a weak half
+    integer with matched parity inside each piece's pair.  That is
+    re-checked on the way out, as is every fixation and every edge, read
+    as its mirror hyperplane's attack equation in integers on 2 * point.
     """
     clique = clique_graph(graph)
     for fixation in fixations:
@@ -347,30 +356,19 @@ def solve_via_clique_graph(graph: SignedGraph,
         raise SingularFixationError(
             "the fixation edges must form a spanning negative 1-forest "
             "of the doubled clique graph; M would be singular")
-    n_pos = len(clique.pos)
-    a, b = tuple(values[:n_pos]), tuple(values[n_pos:])
-    _require(all(v.denominator == 1 for v in values),
-             "an even right-hand side must give integral clique values")
-    point: list[Fraction] = []
-    for k, l in clique.edges:
-        point.append((a[k] - b[l]) / 2)
-        point.append((a[k] + b[l]) / 2)
+    a, b = tuple(values[:len(clique.pos)]), tuple(values[len(clique.pos):])
+    point = [c for k, l in clique.edges
+             for c in ((a[k] - b[l]) / 2, (a[k] + b[l]) / 2)]
+    _require(_half_integral(point),
+             "piece coordinates must be integral or both strict halves")
+    twice = [c.numerator * (2 // c.denominator) for c in point]
     for i, j, sign in graph.edges:
-        xi, yi = point[2 * (i - 1)], point[2 * (i - 1) + 1]
-        xj, yj = point[2 * (j - 1)], point[2 * (j - 1) + 1]
-        if sign == POSITIVE:
-            _require(xi + yi == xj + yj,
-                     f"coordinate sums differ across positive edge ({i},{j})")
-        else:
-            _require(xi - yi == xj - yj,
-                     f"coordinate differences differ across negative edge ({i},{j})")
+        _require(sum(coefficient * twice[at] for at, coefficient
+                     in _attack_terms(i, j, _mirror_sign(sign)).items()) == 0,
+                 f"the point is off the equation of edge ({i},{j},{sign:+d})")
     for fixation in fixations:
         _require(point[fixation.position()] == fixation.value,
                  f"fixation {fixation.coordinate} = {fixation.value} violated")
-    for at in range(0, len(point), 2):
-        _require(point[at].denominator == point[at + 1].denominator
-                 and point[at].denominator in (1, 2),
-                 "piece coordinates must be integral or both strict halves")
     return CliqueSolution(tuple(point), a, b, clique)
 
 

@@ -227,16 +227,17 @@ def interpolate(samples: Mapping[int, int | Fraction], degree: int,
         raise ValueError("period must be positive")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
+    classes: dict[int, list[tuple[int, int | Fraction]]] = {}
     for n, value in samples.items():
         if not isinstance(n, int) or n < 1:
             raise ValueError("sample keys must be positive integers")
         _exact(value, "sample values")
-    items = sorted(samples.items())
+        classes.setdefault(n % period, []).append((n, value))
     unknowns = degree + 1 if leading is None else degree
     top = None if leading is None else _exact(leading, "leading")
     constituents = []
     for r in range(period):
-        points = [(n, value) for n, value in items if n % period == r]
+        points = sorted(classes.get(r, ()))
         if len(points) < unknowns:
             raise InsufficientSamplesError(r, period, unknowns, len(points))
         scale, ys = _scale_to_integers(points, top, degree)

@@ -66,6 +66,25 @@ def reference_solve(rows, rhs) -> tuple[int, str, list[Fraction] | None]:
     return len(pivots), linalg.UNIQUE, [row[n_cols] for row in m[:n_cols]]
 
 
+def reference_det(rows) -> Fraction:
+    """Determinant of a square matrix by plain Fraction elimination with
+    row swaps."""
+    m = [[Fraction(entry) for entry in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            factor = m[r][col] / m[col][col]
+            m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return det
+
+
 def reference_signed_cliques(
         graph: SignedGraph) -> tuple[list[list[int]], list[list[int]]]:
     """(positive cliques, negative cliques) by a depth-first search over

@@ -38,6 +38,7 @@ from bishops.geometry import LatticeVertex, subset_ranks
 from helpers import (
     FIXTURE_FIXATION_COORDINATES,
     example_clique_fixture,
+    reference_det,
     reference_solve,
 )
 
@@ -95,9 +96,11 @@ def test_hyperplane_normals():
 
 
 def test_subset_signed_graph():
+    # hyperplane +1 shares x - y, which a negative edge shares, so each
+    # hyperplane sign s becomes edge sign -s
     subset = [BishopHyperplane(1, 2, POSITIVE), BishopHyperplane(2, 3, NEGATIVE)]
     graph = subset_signed_graph(subset, 3)
-    assert graph == SignedGraph(3, ((1, 2, POSITIVE), (2, 3, NEGATIVE)))
+    assert graph == SignedGraph(3, ((1, 2, NEGATIVE), (2, 3, POSITIVE)))
 
 
 def test_codim_small_cases():
@@ -241,6 +244,12 @@ def test_vertices_three_pieces():
     assert len(strict) == 24
 
 
+def solved_back(vertex, q):
+    """The vertex's own defining set solved through the clique graph."""
+    graph = subset_signed_graph(vertex.hyperplanes, q)
+    return solve_via_clique_graph(graph, vertex.fixations).point
+
+
 def test_vertices_four_pieces():
     vertices = enumerate_lattice_vertices(4, bound=4)
     assert len(vertices) == 496
@@ -250,6 +259,16 @@ def test_vertices_four_pieces():
     strict = [v for v in vertices
               if any(c.denominator == 2 for c in v.point)]
     assert len(strict) == 240
+    assert all(solved_back(v, 4) == v.point for v in vertices)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_vertices_solve_back_through_the_clique_graph(q):
+    # the two labelings meet in subset_signed_graph: a vertex's
+    # hyperplanes and fixations pin the same point on either route,
+    # strictly half-integral vertices included
+    for vertex in enumerate_lattice_vertices(q):
+        assert solved_back(vertex, q) == vertex.point
 
 
 def fraction_vertices(q):
@@ -399,6 +418,46 @@ def test_solve_incidence_transpose_validation():
         solve_incidence_transpose(digon, [1])
     with pytest.raises(SingularFixationError):
         solve_incidence_transpose(square_balanced, [1, 1])
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    # a clique value off by one moves a fixed coordinate
+    ("shift", "fixation .* violated"),
+    # a clique value off by a half breaks the paired denominators
+    ("half", "both strict halves"),
+    # reading an edge with its own sign as a hyperplane sign mixes up
+    # the two diagonal families
+    ("copy-sign", "off the equation of edge"),
+])
+def test_clique_solve_rechecks_catch_a_corrupted_solve(
+        monkeypatch, corrupt, message):
+    honest = geometry._solve_transpose
+
+    def shifted(graph, rhs):
+        values = honest(graph, rhs)
+        values[0] += 1 if corrupt == "shift" else F(1, 2)
+        return values
+
+    if corrupt == "copy-sign":
+        monkeypatch.setattr(geometry, "_mirror_sign", lambda sign: sign)
+    else:
+        monkeypatch.setattr(geometry, "_solve_transpose", shifted)
+    graph = example_clique_fixture()
+    fixations = [Fixation(axis, index, value)
+                 for (axis, index), value
+                 in zip(FIXTURE_FIXATION_COORDINATES, (1, 0, 1, 0, 1, 1, 0))]
+    with pytest.raises(AssertionError, match=message):
+        solve_via_clique_graph(graph, fixations)
+
+
+def test_negative_one_forest_determinant_counts_components():
+    # Lemma: a negative 1-forest's square incidence matrix has
+    # |det H| = 2^c, one factor 2 per component's negative circle
+    rng = Random(5)
+    for _ in range(60):
+        forest = random_negative_one_forest(rng)
+        det = reference_det(signed_graph.incidence_matrix(forest))
+        assert abs(det) == 2 ** len(signed_graph.components(forest))
 
 
 def test_solve_incidence_transpose_half_integrality():

@@ -290,6 +290,28 @@ def test_sample_key_validation():
         interpolate({-1: 1, 1: 1, 2: 4}, 2, 1)
 
 
+def test_residue_classes_are_filled_in_one_pass():
+    # at most one residue computation per sample, however many classes
+    calls = []
+
+    class CountingKey(int):
+        def __mod__(self, other):
+            calls.append(int(self))
+            return int(self) % other
+
+    period = 40
+    samples = {CountingKey(n): n * n for n in range(1, 2 * period + 1)}
+    quasi = interpolate(samples, 2, period, leading=1)
+    assert len(calls) <= len(samples)
+    assert all(quasi.evaluate(n) == n * n for n in range(-3, 3 * period))
+
+
+@pytest.mark.parametrize("q", range(1, 33))
+def test_value_at_minus_one_is_q_factorial(q):
+    # the reciprocity spot value u(q; -1) = q!, off every fitted sample
+    assert interpolate_bishops(q).evaluate(-1) == factorial(q)
+
+
 def test_interpolate_bishops_one_piece():
     # u(1; n) = n^2 exactly, so the minimized period is 1
     quasi = interpolate_bishops(1)
