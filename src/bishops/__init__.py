@@ -3,130 +3,48 @@
 The package computes exact placement counts, recovers the counting
 quasipolynomial of the bishop by interpolation, and independently bounds
 its period through the signed-graph geometry of the move arrangement.
+
+``import bishops`` loads no submodule: each exported name is looked up
+in the table below on first use, and only its own module is imported.
 """
 
-from .board import (
-    BISHOP,
-    BasicMove,
-    Configuration,
-    Rider,
-    Square,
-    attacks,
-    is_nonattacking,
-    parse_rider,
-)
-from .counting import (
-    DEFAULT_NODE_BUDGET,
-    CountTable,
-    SearchBudgetExceeded,
-    count_bishops_fast,
-    count_labelled,
-    count_unlabelled,
-    count_unlabelled_naive,
-    sample_counts,
-)
-from .geometry import (
-    BishopHyperplane,
-    CliqueSolution,
-    EnumerationBoundExceeded,
-    Fixation,
-    LatticeVertex,
-    NonIntegerFixationError,
-    SingularFixationError,
-    codim_of_subset,
-    denominator_lcm,
-    enumerate_lattice_vertices,
-    hyperplane_normal,
-    matroid_check,
-    move_arrangement,
-    period_upper_bound,
-    solve_incidence_transpose,
-    solve_via_clique_graph,
-    subset_signed_graph,
-    verify_half_integrality,
-)
-from .quasipoly import (
-    InconsistentSamplesError,
-    InsufficientSamplesError,
-    InterpolationError,
-    Quasipolynomial,
-    interpolate,
-    interpolate_bishops,
-)
-from .signed_graph import (
-    NEGATIVE,
-    POSITIVE,
-    CliqueGraph,
-    SignedGraph,
-    clique_graph,
-    components,
-    cyclomatic,
-    double_signed,
-    format_graph,
-    incidence_matrix,
-    irredundant_reduction,
-    is_negative_one_forest,
-    parse_graph,
-    rank,
-    signed_cliques,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BISHOP",
-    "BasicMove",
-    "BishopHyperplane",
-    "CliqueGraph",
-    "CliqueSolution",
-    "Configuration",
-    "CountTable",
-    "DEFAULT_NODE_BUDGET",
-    "EnumerationBoundExceeded",
-    "Fixation",
-    "InconsistentSamplesError",
-    "InsufficientSamplesError",
-    "InterpolationError",
-    "LatticeVertex",
-    "NEGATIVE",
-    "NonIntegerFixationError",
-    "POSITIVE",
-    "Quasipolynomial",
-    "Rider",
-    "SearchBudgetExceeded",
-    "SignedGraph",
-    "SingularFixationError",
-    "Square",
-    "attacks",
-    "clique_graph",
-    "codim_of_subset",
-    "components",
-    "count_bishops_fast",
-    "count_labelled",
-    "count_unlabelled",
-    "count_unlabelled_naive",
-    "cyclomatic",
-    "denominator_lcm",
-    "double_signed",
-    "enumerate_lattice_vertices",
-    "format_graph",
-    "hyperplane_normal",
-    "incidence_matrix",
-    "interpolate",
-    "interpolate_bishops",
-    "irredundant_reduction",
-    "is_negative_one_forest",
-    "is_nonattacking",
-    "matroid_check",
-    "move_arrangement",
-    "parse_graph",
-    "parse_rider",
-    "period_upper_bound",
-    "rank",
-    "sample_counts",
-    "signed_cliques",
-    "solve_incidence_transpose",
-    "solve_via_clique_graph",
-    "subset_signed_graph",
-    "verify_half_integrality",
-]
+# every exported name, by the submodule that defines it
+_EXPORTS = {name: module for module, names in {
+    "board": ("BISHOP", "BasicMove", "Configuration", "Rider", "Square",
+              "attacks", "is_nonattacking", "parse_rider"),
+    "counting": ("DEFAULT_NODE_BUDGET", "CountTable", "SearchBudgetExceeded",
+                 "count_bishops_fast", "count_labelled", "count_unlabelled",
+                 "count_unlabelled_naive", "sample_counts"),
+    "geometry": ("BishopHyperplane", "CliqueSolution",
+                 "EnumerationBoundExceeded", "Fixation", "LatticeVertex",
+                 "NonIntegerFixationError", "SingularFixationError",
+                 "codim_of_subset", "denominator_lcm",
+                 "enumerate_lattice_vertices", "hyperplane_normal",
+                 "matroid_check", "move_arrangement", "period_upper_bound",
+                 "solve_incidence_transpose", "solve_via_clique_graph",
+                 "subset_signed_graph", "verify_half_integrality"),
+    "quasipoly": ("InconsistentSamplesError", "InsufficientSamplesError",
+                  "InterpolationError", "Quasipolynomial", "interpolate",
+                  "interpolate_bishops"),
+    "signed_graph": ("NEGATIVE", "POSITIVE", "CliqueGraph", "SignedGraph",
+                     "clique_graph", "components", "cyclomatic",
+                     "double_signed", "format_graph", "incidence_matrix",
+                     "irredundant_reduction", "is_negative_one_forest",
+                     "parse_graph", "rank", "signed_cliques"),
+}.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

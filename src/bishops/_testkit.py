@@ -1,13 +1,31 @@
 """Random instance generators shared by the CLI check command and the
-test suite.  Everything takes an explicit ``random.Random`` so runs are
-reproducible from a seed."""
+test suite, and the property suites that ``bishops check`` runs on them.
+Everything takes an explicit ``random.Random`` so runs are reproducible
+from a seed.  Each suite returns None, or what failed."""
 
 from __future__ import annotations
 
 from random import Random
 
-from .geometry import Fixation
-from .signed_graph import NEGATIVE, POSITIVE, SignedGraph, _UnionFind, clique_graph
+from . import linalg
+from .board import BISHOP
+from .counting import count_bishops_fast, count_unlabelled_naive
+from .geometry import (
+    Fixation,
+    solve_incidence_transpose,
+    solve_via_clique_graph,
+)
+from .signed_graph import (
+    NEGATIVE,
+    POSITIVE,
+    SignedGraph,
+    _UnionFind,
+    clique_graph,
+    incidence_matrix,
+    irredundant_reduction,
+    rank,
+    signed_cliques,
+)
 
 # sizes of the generated instances; a change here changes the instances
 # pinned in tests/golden/testkit/instances.txt
@@ -124,3 +142,56 @@ def random_clique_solve_instance(
             other = "y" if axis == "x" else "x"
             fixations.append(Fixation(other, piece, rng.randint(low, high)))
     return graph, fixations
+
+
+def check_counters(rng: Random, trials: int) -> str | None:
+    cases = [(2, 2), (2, 3)]
+    cases += [(rng.randint(1, 4), rng.randint(0, 8)) for _ in range(trials)]
+    for q, n in cases:
+        fast = count_bishops_fast(q, n)
+        naive = count_unlabelled_naive(BISHOP, q, n)
+        if fast != naive:
+            return f"u({q};{n}): fast {fast} != naive {naive}"
+    return None
+
+
+def check_signed_graphs(rng: Random, trials: int) -> str | None:
+    for _ in range(trials):
+        graph = random_signed_graph(rng)
+        by_balance = rank(graph)
+        by_matrix = linalg.rank(incidence_matrix(graph))
+        if by_balance != by_matrix:
+            return f"rank mismatch on {graph}: {by_balance} vs {by_matrix}"
+        pos, neg = signed_cliques(graph)
+        reduced = irredundant_reduction(graph)
+        if signed_cliques(reduced) != (pos, neg):
+            return f"reduction changed the cliques of {graph}"
+        if len(reduced.edges) != 2 * graph.q - len(pos) - len(neg):
+            return f"reduction edge count wrong on {graph}"
+        tree = random_signed_tree(rng)
+        tpos, tneg = signed_cliques(tree)
+        if len(tpos) + len(tneg) != tree.q + 1:
+            return f"signed tree clique count wrong on {tree}"
+    return None
+
+
+def check_transpose_solves(rng: Random, trials: int) -> str | None:
+    for _ in range(trials):
+        forest = random_negative_one_forest(rng)
+        rhs = [rng.randint(-9, 9) for _ in range(forest.q)]
+        solution = solve_incidence_transpose(forest, rhs)
+        if any(value.denominator not in (1, 2) for value in solution):
+            return f"solution not weakly half-integral for {forest}"
+        even = [2 * value for value in rhs]
+        if any(value.denominator != 1
+               for value in solve_incidence_transpose(forest, even)):
+            return f"even right-hand side gave a fractional solution for {forest}"
+    return None
+
+
+def check_clique_solves(rng: Random, trials: int) -> str | None:
+    for _ in range(trials):
+        graph, fixations = random_clique_solve_instance(rng)
+        # the solver re-verifies equations, integrality, and parity
+        solve_via_clique_graph(graph, fixations)
+    return None

@@ -10,61 +10,33 @@ with CRLF line ends.  Exit status:
 1  a verification failed (FAIL is printed on stdout);
 2  the input was rejected: one ``error:`` line on stderr;
 3  an internal invariant was violated: a traceback and one
-   ``internal error:`` line on stderr.
+   ``internal error:`` line on stderr;
+141  the reader closed stdout before the output ended (128 + SIGPIPE);
+     nothing more is printed.
 
 :func:`main` parses with one argument parser per process, built on the
-first call and shared by every later one.
+first call and shared by every later one.  Importing this module loads
+only the counting layer, which the parser needs; each handler imports
+the layers it runs (geometry, signed graphs, interpolation, the check
+suites of ``bishops._testkit``) and ``json`` only when it renders JSON,
+so a count starts without them.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
+import os
 import sys
-import traceback
-from fractions import Fraction
-from pathlib import Path
-from random import Random
+from typing import TYPE_CHECKING
 
-from . import linalg
-from ._testkit import (
-    random_clique_solve_instance,
-    random_negative_one_forest,
-    random_signed_graph,
-    random_signed_tree,
-)
-from .board import BISHOP, parse_rider
-from .counting import (
-    DEFAULT_NODE_BUDGET,
-    SearchBudgetExceeded,
-    count_bishops_fast,
-    count_unlabelled_naive,
-    sample_counts,
-)
-from .geometry import (
-    Fixation,
-    denominator_lcm,
-    enumerate_lattice_vertices,
-    period_upper_bound,
-    solve_incidence_transpose,
-    solve_via_clique_graph,
-    verify_half_integrality,
-)
-from .quasipoly import Quasipolynomial, _fit_table, interpolate_bishops
-from .signed_graph import (
-    POSITIVE,
-    clique_graph,
-    components,
-    cyclomatic,
-    format_graph,
-    incidence_matrix,
-    irredundant_reduction,
-    is_negative_one_forest,
-    parse_graph,
-    rank,
-    signed_cliques,
-)
+from .board import parse_rider
+from .counting import DEFAULT_NODE_BUDGET, SearchBudgetExceeded, sample_counts
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .quasipoly import Quasipolynomial
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -79,6 +51,7 @@ def _fraction_str(value: Fraction) -> str:
 
 
 def _print_json(payload: dict) -> None:
+    import json
     print(json.dumps(payload, indent=2))
 
 
@@ -144,6 +117,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_interpolate(args: argparse.Namespace) -> int:
+    from .quasipoly import _fit_table
     rider = parse_rider(args.piece)
     q = args.q
     if q < 1:
@@ -181,6 +155,8 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_period(args: argparse.Namespace) -> int:
+    from .geometry import period_upper_bound
+    from .quasipoly import interpolate_bishops
     q = args.q
     geometric = period_upper_bound(q, bound=args.bound)
     minimized = interpolate_bishops(q).minimize_period().period
@@ -194,6 +170,12 @@ def cmd_verify_period(args: argparse.Namespace) -> int:
 
 
 def cmd_vertices(args: argparse.Namespace) -> int:
+    from .geometry import (
+        denominator_lcm,
+        enumerate_lattice_vertices,
+        verify_half_integrality,
+    )
+    from .signed_graph import POSITIVE
     vertices = enumerate_lattice_vertices(args.q, bound=args.bound)
     ok = verify_half_integrality(vertices)
     if args.format == "json":
@@ -222,6 +204,19 @@ def cmd_vertices(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
+    from .geometry import Fixation, solve_via_clique_graph
+    from .signed_graph import (
+        clique_graph,
+        components,
+        cyclomatic,
+        format_graph,
+        irredundant_reduction,
+        is_negative_one_forest,
+        parse_graph,
+        rank,
+    )
     graph, raw_fixations = parse_graph(Path(args.file).read_text())
     fixations = [Fixation(*raw) for raw in raw_fixations]
     solution = solve_via_clique_graph(graph, fixations) if fixations else None
@@ -266,68 +261,19 @@ def cmd_graph(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_counters(rng: Random, trials: int) -> str | None:
-    cases = [(2, 2), (2, 3)]
-    cases += [(rng.randint(1, 4), rng.randint(0, 8)) for _ in range(trials)]
-    for q, n in cases:
-        fast = count_bishops_fast(q, n)
-        naive = count_unlabelled_naive(BISHOP, q, n)
-        if fast != naive:
-            return f"u({q};{n}): fast {fast} != naive {naive}"
-    return None
-
-
-def _check_signed_graphs(rng: Random, trials: int) -> str | None:
-    for _ in range(trials):
-        graph = random_signed_graph(rng)
-        by_balance = rank(graph)
-        by_matrix = linalg.rank(incidence_matrix(graph))
-        if by_balance != by_matrix:
-            return f"rank mismatch on {graph}: {by_balance} vs {by_matrix}"
-        pos, neg = signed_cliques(graph)
-        reduced = irredundant_reduction(graph)
-        if signed_cliques(reduced) != (pos, neg):
-            return f"reduction changed the cliques of {graph}"
-        if len(reduced.edges) != 2 * graph.q - len(pos) - len(neg):
-            return f"reduction edge count wrong on {graph}"
-        tree = random_signed_tree(rng)
-        tpos, tneg = signed_cliques(tree)
-        if len(tpos) + len(tneg) != tree.q + 1:
-            return f"signed tree clique count wrong on {tree}"
-    return None
-
-
-def _check_transpose_solves(rng: Random, trials: int) -> str | None:
-    for _ in range(trials):
-        forest = random_negative_one_forest(rng)
-        rhs = [rng.randint(-9, 9) for _ in range(forest.q)]
-        solution = solve_incidence_transpose(forest, rhs)
-        if any(value.denominator not in (1, 2) for value in solution):
-            return f"solution not weakly half-integral for {forest}"
-        even = [2 * value for value in rhs]
-        if any(value.denominator != 1
-               for value in solve_incidence_transpose(forest, even)):
-            return f"even right-hand side gave a fractional solution for {forest}"
-    return None
-
-
-def _check_clique_solves(rng: Random, trials: int) -> str | None:
-    for _ in range(trials):
-        graph, fixations = random_clique_solve_instance(rng)
-        # the solver re-verifies equations, integrality, and parity
-        solve_via_clique_graph(graph, fixations)
-    return None
-
-
 def cmd_check(args: argparse.Namespace) -> int:
+    from random import Random
+
+    from . import _testkit
     if min(args.spot, args.graphs, args.matrices, args.solves) < 0:
         raise ValueError("trial counts must be nonnegative")
     rng = Random(args.seed)
     suites = [
-        ("counter agreement", _check_counters, args.spot),
-        ("signed graphs", _check_signed_graphs, args.graphs),
-        ("incidence transpose solves", _check_transpose_solves, args.matrices),
-        ("clique-graph solves", _check_clique_solves, args.solves),
+        ("counter agreement", _testkit.check_counters, args.spot),
+        ("signed graphs", _testkit.check_signed_graphs, args.graphs),
+        ("incidence transpose solves", _testkit.check_transpose_solves,
+         args.matrices),
+        ("clique-graph solves", _testkit.check_clique_solves, args.solves),
     ]
     failed = False
     for name, suite, trials in suites:
@@ -428,11 +374,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to the
+        # null device, so the flush at interpreter exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, SearchBudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
+        import traceback
         traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -14,6 +14,7 @@ import pytest
 from bishops import (
     Quasipolynomial,
     SignedGraph,
+    _testkit,
     cli,
     counting,
     geometry,
@@ -279,7 +280,7 @@ def test_verify_period(capsys):
 def test_verify_period_fails_when_the_period_does_not_divide_the_lcm(
         capsys, monkeypatch):
     # a geometric lcm of 1 cannot bound the interpolated period 2 at q = 3
-    monkeypatch.setattr(cli, "period_upper_bound", lambda q, *, bound: 1)
+    monkeypatch.setattr(geometry, "period_upper_bound", lambda q, *, bound: 1)
     code, out, _ = run(capsys, "verify-period", "-q", "3")
     assert code == 1
     assert out.splitlines() == [
@@ -375,7 +376,6 @@ def test_graph_derives_the_cliques_once(capsys, monkeypatch, tmp_path, text):
         return derive(graph)
 
     monkeypatch.setattr(signed_graph, "signed_cliques", counted)
-    monkeypatch.setattr(cli, "signed_cliques", counted)
     code, _, _ = run(capsys, "graph", str(path))
     assert code == 0
     assert len(calls) == 1
@@ -430,9 +430,9 @@ def _plus_one(function):
 
 
 @pytest.mark.parametrize("name, patch, line", [
-    ("count_unlabelled_naive", _plus_one(cli.count_unlabelled_naive),
+    ("count_unlabelled_naive", _plus_one(_testkit.count_unlabelled_naive),
      "counter agreement: FAIL (u(2;2): fast 4 != naive 5)"),
-    ("rank", _plus_one(cli.rank), "signed graphs: FAIL (rank mismatch on "),
+    ("rank", _plus_one(_testkit.rank), "signed graphs: FAIL (rank mismatch on "),
     ("irredundant_reduction", lambda graph: SignedGraph(graph.q, ()),
      "signed graphs: FAIL (reduction changed the cliques of "),
     ("irredundant_reduction", lambda graph: graph,
@@ -445,7 +445,7 @@ def _plus_one(function):
 ])
 def test_check_reports_a_failing_suite(capsys, monkeypatch, name, patch,
                                        line):
-    monkeypatch.setattr(cli, name, patch)
+    monkeypatch.setattr(_testkit, name, patch)
     code, out, err = run(capsys, "check", "--seed", "0", "--spot", "0",
                          "--graphs", "5", "--matrices", "1", "--solves", "0")
     failures = [row for row in out.splitlines() if ": FAIL" in row]
@@ -466,7 +466,7 @@ def test_internal_invariant_violation_exits_3(capsys, monkeypatch):
     def broken(q, *, bound):
         raise AssertionError("codimension mismatch")
 
-    monkeypatch.setattr(cli, "period_upper_bound", broken)
+    monkeypatch.setattr(geometry, "period_upper_bound", broken)
     code, out, err = run(capsys, "verify-period", "-q", "2")
     assert code == 3
     assert out == ""

@@ -312,6 +312,13 @@ def test_value_at_minus_one_is_q_factorial(q):
     assert interpolate_bishops(q).evaluate(-1) == factorial(q)
 
 
+@pytest.mark.parametrize("q", [48, 64, 96, 128])
+def test_minimized_value_at_minus_one_is_q_factorial_at_large_q(q):
+    # the value `bishops interpolate` reports, at q well past the range above
+    minimized = interpolate_bishops(q).minimize_period()
+    assert minimized.evaluate(-1) == factorial(q)
+
+
 def test_interpolate_bishops_one_piece():
     # u(1; n) = n^2 exactly, so the minimized period is 1
     quasi = interpolate_bishops(1)
