@@ -1,4 +1,4 @@
-"""Riders, squares, configurations, and the attack predicate.
+"""Riders, squares, configurations, the attack predicate and its masks.
 
 A rider attacks along every integral multiple of each of its basic move
 vectors; the bishop is the rider with basic moves (1, 1) and (1, -1).
@@ -112,6 +112,21 @@ def attacks(a: Square, b: Square, rider: Rider) -> bool:
     if (dx, dy) == (0, 0):
         raise ValueError("attacks() requires two distinct squares")
     return any(move.dx * dy == move.dy * dx for move in rider.moves)
+
+
+def attack_masks(rider: Rider, n: int) -> list[int]:
+    """Per square of the n x n board, the bitmask of the squares it
+    attacks; Square(x, y) is bit (y - 1) * n + x - 1.  Squares share a
+    line of a basic move iff they share its key dx * y - dy * x (the
+    zero cross product of :func:`attacks`): one pass ORs each line."""
+    masks = [0] * (n * n)
+    for move in rider.moves:
+        keys = [move.dx * y - move.dy * x for y in range(n) for x in range(n)]
+        lines = dict.fromkeys(keys, 0)
+        for s, key in enumerate(keys):
+            lines[key] |= 1 << s
+        masks = [mask | lines[key] for mask, key in zip(masks, keys)]
+    return [mask & ~(1 << s) for s, mask in enumerate(masks)]
 
 
 def is_nonattacking(config: Configuration, rider: Rider) -> bool:

@@ -372,8 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        finally:  # --help output meets a closed pipe here, not at exit
+            sys.stdout.flush()
         code = args.handler(args)
         sys.stdout.flush()
         return code

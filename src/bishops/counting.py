@@ -4,8 +4,8 @@ Two counters with different trust models: a brute-force oracle that works
 for any rider but only at desk scale, and a fast bishop-specific dynamic
 program that reaches the board sizes interpolation needs.  The two are
 cross-validated against each other in the test suite.  A bishop count
-table grows one rook profile pair per parity chain of n, so each board
-size after the first costs O(q) column steps and one convolution.  All
+table grows one odd/even pair of rook profiles, so each board size
+costs two O(q) column steps and one convolution.  All
 arithmetic is arbitrary-precision integer; nothing here floats.
 
 Every count by rider and method goes through :func:`sample_counts`,
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .board import BISHOP, Rider, Square, attacks
+from .board import BISHOP, Rider, attack_masks
 
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -32,12 +32,11 @@ def count_unlabelled_naive(rider: Rider, q: int, n: int,
                            *, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Count q-subsets of the n x n board with no attacking pair.
 
-    Depth-first search that places pieces in increasing square order
-    (row-major), pruning with precomputed per-square attack bitmasks.
-    ``node_budget`` is charged one node for each square pair whose
-    attack relation the bitmasks record, all at once before they are
-    built, and one node for each placement of a piece; the final piece
-    of every branch is counted in bulk by popcount.
+    Depth-first search in increasing square order (row-major), pruned by
+    :func:`~bishops.board.attack_masks`.  ``node_budget`` is charged one
+    node per square pair (a fixed rule, paid before the masks are built)
+    and each level's placements at once, before they are scanned, with
+    the last piece counted by popcount: C(n^2, 2) + u(1; n) + ... + u(q-1; n).
     """
     if q < 0 or n < 0:
         raise ValueError("q and n must be nonnegative")
@@ -52,28 +51,25 @@ def count_unlabelled_naive(rider: Rider, q: int, n: int,
     budget = node_budget - cells * (cells - 1) // 2
     if budget < 0:
         raise SearchBudgetExceeded(exceeded)
-    squares = [Square(x + 1, y + 1) for y in range(n) for x in range(n)]
-    attack_mask = [0] * cells
-    for s in range(cells):
-        for t in range(s + 1, cells):
-            if attacks(squares[s], squares[t], rider):
-                attack_mask[s] |= 1 << t
-                attack_mask[t] |= 1 << s
+    if q == 1:
+        return cells
+    safe = [~mask for mask in attack_masks(rider, n)]
 
     def search(avail: int, remaining: int) -> int:
         nonlocal budget
-        if remaining == 1:
-            return avail.bit_count()
+        budget -= avail.bit_count()
+        if budget < 0:
+            raise SearchBudgetExceeded(exceeded)
         total = 0
         # stripping the lowest bit keeps squares in increasing order
         while avail:
             low = avail & -avail
             avail ^= low
-            budget -= 1
-            if budget < 0:
-                raise SearchBudgetExceeded(exceeded)
-            s = low.bit_length() - 1
-            total += search(avail & ~attack_mask[s], remaining - 1)
+            rest = avail & safe[low.bit_length() - 1]
+            if remaining == 2:
+                total += rest.bit_count()
+            elif rest:
+                total += search(rest, remaining - 1)
         return total
 
     return search((1 << cells) - 1, q)
@@ -87,7 +83,7 @@ def _add_column(counts: list[int], length: int) -> None:
     j = 0..q, on a board whose columns nest by length.  Because columns
     arrive shortest first, the new column has ``length - j`` rows free
     of the j earlier rooks, whichever rows those took.  A column of
-    length 0 adds nothing.
+    length 0 or less adds nothing.
     """
     for j in range(min(len(counts) - 1, length) - 1, -1, -1):
         counts[j + 1] += counts[j] * (length - j)
@@ -98,38 +94,34 @@ def _bishop_counts(q: int, n_from: int, n_to: int) -> dict[int, int]:
 
     Rotating the board 45 degrees splits it into two independent rook
     boards, one per parity class of diagonals, with column lengths
-    n, n-2, n-2, n-4, ... (the class of the main diagonal) and
-    n-1, n-1, n-3, n-3, ...  Going from n to n + 2 adds columns n and
-    n + 2 to the first board and two columns n + 1 to the second, all
-    longer than what is there, so one profile pair per parity chain
-    (n_from, n_from + 2, ... and n_from + 1, n_from + 3, ...) grows by
-    :func:`_add_column` in O(q) per column.  The classes interact only
-    through how many pieces each takes, hence one convolution per n.
-    Neither board of size at most n_to holds more than n_to rooks, so
-    profiles stop at min(q, n_to) rooks, and q > 2 * n_to gives 0.
+    n, n-2, n-2, ... (main) and n-1, n-1, n-3, n-3, ... (other).  Two
+    rook profiles serve every n, odd (columns 1, 1, 3, 3, ...) and even
+    (2, 2, 4, 4, ...): each n adds two columns n - 1 to the profile of
+    their parity by :func:`_add_column`, in O(q) each, and that profile
+    is other; main is the profile left plus a column n, folded into the
+    one convolution per n.  No board up to n_to holds more than n_to
+    rooks, so profiles stop at min(q, n_to); q > 2 * n_to gives 0.
     """
     if q < 0 or n_from < 0:
         raise ValueError("q and n must be nonnegative")
     most = min(q, n_to)
+    profiles = ([1] + [0] * most, [1] + [0] * most)  # even, odd
     counts = {}
-    for start in range(n_from, min(n_from + 1, n_to) + 1):
-        main, other = [1] + [0] * most, [1] + [0] * most
-        # the board of size 0 or 1: one column of that length
-        _add_column(main, start % 2)
-        for n in range(start % 2, n_to + 1, 2):
-            if n >= n_from:
-                counts[n] = sum(main[j] * other[q - j]
-                                for j in range(max(q - most, 0), most + 1))
-            _add_column(main, n)
-            _add_column(main, n + 2)
-            _add_column(other, n + 1)
-            _add_column(other, n + 1)
-    return dict(sorted(counts.items()))
+    for n in range(n_to + 1):
+        other, base = profiles[(n - 1) % 2], profiles[n % 2]
+        _add_column(other, n - 1)
+        _add_column(other, n - 1)
+        if n >= n_from:
+            # main[j], base plus column n; n - j + 1 < 1 meets base[j-1] = 0
+            counts[n] = sum(
+                (base[j] + (n - j + 1) * base[j - 1] if j else base[0])
+                * other[q - j] for j in range(max(q - most, 0), most + 1))
+    return counts
 
 
 def count_bishops_fast(q: int, n: int) -> int:
-    """Exact u(q; n) for bishops, in time polynomial in q and n: one
-    parity chain of :func:`_bishop_counts`."""
+    """Exact u(q; n) for bishops, in time polynomial in q and n: the
+    last board size of :func:`_bishop_counts`."""
     return _bishop_counts(q, n, n)[n]
 
 

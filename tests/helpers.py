@@ -3,11 +3,36 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
-from bishops import NEGATIVE, POSITIVE, SignedGraph, linalg
+from bishops import (
+    NEGATIVE,
+    POSITIVE,
+    Rider,
+    SignedGraph,
+    Square,
+    attacks,
+    linalg,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
+# the riders the benchmark's census workload counts naively
+CENSUS_RIDERS = {
+    "rook": "1,0;0,1",
+    "queen": "1,0;0,1;1,1;1,-1",
+    "nightrider": "1,2;2,1;1,-2;2,-1",
+    "bishop": "bishop",
+}
+
+
+def reference_count(rider: Rider, q: int, n: int) -> int:
+    """u(q; n) by testing every pair of every q-subset of the board with
+    ``attacks``; shares no code with the bitmask search."""
+    squares = [Square(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
+    return sum(
+        1 for subset in combinations(squares, q)
+        if not any(attacks(a, b, rider) for a, b in combinations(subset, 2)))
 
 
 def example_clique_fixture() -> SignedGraph:

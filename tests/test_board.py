@@ -14,6 +14,8 @@ from bishops import (
     is_nonattacking,
     parse_rider,
 )
+from bishops.board import attack_masks
+from helpers import CENSUS_RIDERS
 
 
 def test_basic_move_canonicalization():
@@ -61,6 +63,19 @@ def test_attacks_is_symmetric_for_rook_moves():
     assert attacks(Square(1, 1), Square(1, 5), rook)
     assert attacks(Square(1, 5), Square(1, 1), rook)
     assert not attacks(Square(1, 1), Square(2, 2), rook)
+
+
+@pytest.mark.parametrize("moves", [*CENSUS_RIDERS.values(),
+                                   "2,4;3,-1", "0,5"])
+def test_line_masks_match_the_pairwise_relation(moves):
+    rider = parse_rider(moves)
+    for n in range(10):
+        board = [Square(x, y) for y in range(1, n + 1)
+                 for x in range(1, n + 1)]
+        expected = [sum(1 << t for t, b in enumerate(board)
+                        if a != b and attacks(a, b, rider))
+                    for a in board]
+        assert attack_masks(rider, n) == expected, n
 
 
 squares = st.builds(Square,

@@ -1,7 +1,6 @@
 """Counters: brute-force oracle vs the fast dynamic program."""
 
-from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,34 +8,23 @@ from hypothesis import strategies as st
 
 from bishops import (
     BISHOP,
-    Configuration,
     SearchBudgetExceeded,
-    Square,
     count_bishops_fast,
     count_labelled,
     count_unlabelled,
     count_unlabelled_naive,
-    is_nonattacking,
     parse_rider,
     sample_counts,
 )
 from bishops import counting
-
-
-def count_by_definition(rider, q: int, n: int) -> int:
-    """Slowest possible reference: filter all q-subsets of the board."""
-    squares = [Square(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
-    return sum(
-        1 for subset in combinations(squares, q)
-        if is_nonattacking(Configuration(subset, n), rider)
-    )
+from helpers import CENSUS_RIDERS, reference_count
 
 
 def test_naive_matches_definition_small():
     for q in range(0, 4):
         for n in range(0, 5):
             assert (count_unlabelled_naive(BISHOP, q, n)
-                    == count_by_definition(BISHOP, q, n)), (q, n)
+                    == reference_count(BISHOP, q, n)), (q, n)
 
 
 def test_naive_matches_definition_rook():
@@ -44,7 +32,7 @@ def test_naive_matches_definition_rook():
     for q in range(0, 4):
         for n in range(0, 5):
             assert (count_unlabelled_naive(rook, q, n)
-                    == count_by_definition(rook, q, n)), (q, n)
+                    == reference_count(rook, q, n)), (q, n)
 
 
 def test_rook_counts_are_binomial_squared_times_factorial():
@@ -106,10 +94,10 @@ def test_budget_enforced():
 
 
 def test_budget_charges_square_pairs_before_building_masks(monkeypatch):
-    def no_attacks(*_):
+    def no_masks(*_):
         raise AssertionError("attack masks built despite the budget")
 
-    monkeypatch.setattr(counting, "attacks", no_attacks)
+    monkeypatch.setattr(counting, "attack_masks", no_masks)
     rook = parse_rider("1,0;0,1")
     # 1600 squares make 1,279,200 pairs, far over a budget of 1
     with pytest.raises(SearchBudgetExceeded,
@@ -131,6 +119,23 @@ def test_budget_runs_out_mid_search():
                        match="exceeded the budget of 700 nodes"):
         count_unlabelled_naive(BISHOP, 4, 6, node_budget=700)
     assert count_unlabelled_naive(BISHOP, 4, 6, node_budget=10**6) == 16428
+
+
+@pytest.mark.parametrize("piece", CENSUS_RIDERS)
+def test_budget_is_pairs_plus_every_smaller_count(piece):
+    # the search places one node per nonattacking k-subset, k < q, and
+    # counts the q-th piece by popcount: it needs exactly this budget
+    rider = parse_rider(CENSUS_RIDERS[piece])
+    for n in range(1, 6):
+        for q in range(1, min(4, n * n) + 1):
+            needed = comb(n * n, 2) + sum(reference_count(rider, k, n)
+                                          for k in range(1, q))
+            assert (count_unlabelled_naive(rider, q, n, node_budget=needed)
+                    == reference_count(rider, q, n)), (q, n)
+            if needed == 0:  # one square: no pair, no placement
+                continue
+            with pytest.raises(SearchBudgetExceeded):
+                count_unlabelled_naive(rider, q, n, node_budget=needed - 1)
 
 
 @pytest.mark.parametrize("q", [0, 1, 2])
@@ -197,19 +202,19 @@ def test_sample_counts_validation():
         sample_counts(parse_rider("1,0"), 3, 5, 6, "auto", node_budget=4)
 
 
-def per_n_bishop_count(q: int, n: int) -> int:
-    """The per-n dynamic program the table builder replaced: sort each
-    parity class's column lengths and build both rook profiles afresh."""
-    if q == 0:
-        return 1
-    if n == 0:
-        return 0
-    even = [n] + [n - 2 * k for k in range(1, (n - 1) // 2 + 1) for _ in (0, 1)]
-    odd = [n - (2 * k - 1) for k in range(1, n // 2 + 1) for _ in (0, 1)]
+def scanned_bishop_count(q: int, n: int) -> int:
+    """u(q; n) from diagonal lengths read off the board: the diagonals
+    x - y = d of each colour are the columns of one rook board, whose
+    profile the rook DP builds from its sorted column lengths."""
+    colours = ({}, {})
+    for x in range(n):
+        for y in range(n):
+            diagonals = colours[(x + y) % 2]
+            diagonals[x - y] = diagonals.get(x - y, 0) + 1
     profiles = []
-    for lengths in (even, odd):
+    for diagonals in colours:
         counts = [1] + [0] * q
-        for length in sorted(lengths):
+        for length in sorted(diagonals.values()):
             for j in range(min(q, length) - 1, -1, -1):
                 counts[j + 1] += counts[j] * (length - j)
         profiles.append(counts)
@@ -221,11 +226,11 @@ def per_n_bishop_count(q: int, n: int) -> int:
 @given(st.integers(min_value=0, max_value=12),
        st.integers(min_value=0, max_value=40),
        st.integers(min_value=0, max_value=40))
-@example(q=3, n_from=0, width=0)  # one board size: one chain only
+@example(q=3, n_from=0, width=0)  # board size 0: no columns at all
 @example(q=3, n_from=1, width=0)
-@example(q=3, n_from=0, width=1)  # both chains, one size each
+@example(q=3, n_from=0, width=1)
 @example(q=3, n_from=1, width=1)
-@example(q=3, n_from=0, width=2)  # the first chain grows once
+@example(q=3, n_from=0, width=2)
 @example(q=3, n_from=1, width=2)
 @example(q=0, n_from=0, width=5)
 @example(q=12, n_from=0, width=40)
@@ -235,15 +240,34 @@ def test_table_matches_per_n_dp(q, n_from, width):
     """``width`` is n_to - n_from."""
     n_to = n_from + width
     table = sample_counts(BISHOP, q, n_from, n_to, "fast")
-    expected = {n: per_n_bishop_count(q, n) for n in range(n_from, n_to + 1)}
+    expected = {n: scanned_bishop_count(q, n)
+                for n in range(n_from, n_to + 1)}
     assert table.entries == expected
     assert list(table.entries) == list(expected)
 
 
 def test_table_matches_per_n_dp_large_q():
     table = sample_counts(BISHOP, 64, 1, 256, "fast")
-    assert table.entries == {n: per_n_bishop_count(64, n)
+    assert table.entries == {n: scanned_bishop_count(64, n)
                              for n in range(1, 257)}
+
+
+def test_every_small_table_matches_the_scanned_board():
+    for q in range(11):
+        reference = [scanned_bishop_count(q, n) for n in range(31)]
+        for n_from in range(31):
+            for n_to in range(n_from, 31):
+                table = counting._bishop_counts(q, n_from, n_to)
+                assert list(table.items()) == [
+                    (n, reference[n]) for n in range(n_from, n_to + 1)], (
+                        q, n_from, n_to)
+
+
+@pytest.mark.parametrize("q", [24, 32, 64])
+def test_table_matches_single_counts_at_large_q(q):
+    n_to = 4 * q + 20
+    assert list(counting._bishop_counts(q, 0, n_to).items()) == [
+        (n, count_bishops_fast(q, n)) for n in range(n_to + 1)]
 
 
 def test_fast_table_validation_messages():

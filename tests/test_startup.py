@@ -84,18 +84,36 @@ def test_closed_stdout_exits_141_without_a_message():
     assert (first, stderr) == (b"n=1: 0\n", b"")
 
 
-def test_output_to_a_pipe_without_a_reader_exits_141():
-    # with stdout block-buffered, the three bytes stay in the buffer until
-    # main flushes them, so the write fails inside main, not at exit
+def run_into_a_pipe_without_a_reader(*argv: str):
+    """Run the command with block-buffered stdout into a pipe whose read
+    end is already closed."""
     buffered = {key: value for key, value in ENV.items()
                 if key != "PYTHONUNBUFFERED"}
     read_end, write_end = os.pipe()
     os.close(read_end)
     with os.fdopen(write_end, "wb") as stdout:
-        done = subprocess.run(
-            [sys.executable, "-m", "bishops", "count", "-q", "2", "-n", "3"],
+        return subprocess.run(
+            [sys.executable, "-m", "bishops", *argv],
             stdout=stdout, stderr=subprocess.PIPE, timeout=60, env=buffered)
+
+
+def test_output_to_a_pipe_without_a_reader_exits_141():
+    # with stdout block-buffered, the three bytes stay in the buffer until
+    # main flushes them, so the write fails inside main, not at exit
+    done = run_into_a_pipe_without_a_reader("count", "-q", "2", "-n", "3")
     assert (done.returncode, done.stderr) == (141, b"")
+
+
+@pytest.mark.parametrize("argv", [["count", "--help"], ["--help"]])
+def test_help_to_a_pipe_without_a_reader_exits_141(argv):
+    # argparse prints the help and raises SystemExit while parsing, so
+    # the buffered text must meet the closed pipe in main, not at exit
+    done = run_into_a_pipe_without_a_reader(*argv)
+    assert (done.returncode, done.stderr) == (141, b"")
+    live = subprocess.run([sys.executable, "-m", "bishops", *argv],
+                          capture_output=True, timeout=60, env=ENV)
+    assert (live.returncode, live.stderr) == (0, b"")
+    assert live.stdout.startswith(b"usage: bishops ")
 
 
 @pytest.mark.parametrize("name", bishops.__all__)
