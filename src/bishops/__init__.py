@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 
 # every exported name, by the submodule that defines it
 _EXPORTS = {name: module for module, names in {
-    "board": ("BISHOP", "BasicMove", "Configuration", "Rider", "Square",
-              "attacks", "is_nonattacking", "parse_rider"),
+    "board": ("BISHOP", "BasicMove", "Rider", "Square", "attacks",
+              "parse_rider"),
     "counting": ("DEFAULT_NODE_BUDGET", "CountTable", "SearchBudgetExceeded",
                  "count_bishops_fast", "count_labelled", "count_unlabelled",
                  "count_unlabelled_naive", "sample_counts"),

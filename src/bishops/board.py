@@ -1,4 +1,4 @@
-"""Riders, squares, configurations, the attack predicate and its masks.
+"""Riders, squares, the attack predicate and its masks.
 
 A rider attacks along every integral multiple of each of its basic move
 vectors; the bishop is the rider with basic moves (1, 1) and (1, -1).
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable
 
 
 @dataclass(frozen=True, order=True)
@@ -79,28 +78,6 @@ class Square:
     y: int
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """An ordered (labelled) placement of pieces on an n x n board."""
-
-    pieces: tuple[Square, ...]
-    n: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pieces", tuple(self.pieces))
-        if self.n < 0:
-            raise ValueError("board size must be nonnegative")
-        for square in self.pieces:
-            if not (1 <= square.x <= self.n and 1 <= square.y <= self.n):
-                raise ValueError(f"{square} is off the {self.n}x{self.n} board")
-        if len(set(self.pieces)) != len(self.pieces):
-            raise ValueError("pieces must occupy distinct squares")
-
-    @property
-    def q(self) -> int:
-        return len(self.pieces)
-
-
 def attacks(a: Square, b: Square, rider: Rider) -> bool:
     """True iff b - a is a nonzero integral multiple of a basic move.
 
@@ -127,13 +104,3 @@ def attack_masks(rider: Rider, n: int) -> list[int]:
             lines[key] |= 1 << s
         masks = [mask | lines[key] for mask, key in zip(masks, keys)]
     return [mask & ~(1 << s) for s, mask in enumerate(masks)]
-
-
-def is_nonattacking(config: Configuration, rider: Rider) -> bool:
-    """True iff no two pieces of the configuration attack each other."""
-    pieces = config.pieces
-    return not any(
-        attacks(pieces[i], pieces[j], rider)
-        for i in range(len(pieces))
-        for j in range(i + 1, len(pieces))
-    )

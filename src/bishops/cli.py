@@ -9,8 +9,8 @@ with CRLF line ends.  Exit status:
 0  everything the command verified came out true;
 1  a verification failed (FAIL is printed on stdout);
 2  the input was rejected: one ``error:`` line on stderr;
-3  an internal invariant was violated: a traceback and one
-   ``internal error:`` line on stderr;
+3  an internal invariant was violated, or any other exception
+   escaped: a traceback and one ``internal error:`` line on stderr;
 141  the reader closed stdout before the output ended (128 + SIGPIPE);
      nothing more is printed.
 
@@ -390,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, SearchBudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
+    except Exception as exc:  # any other exception is a bug
         import traceback
         traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)

@@ -37,6 +37,8 @@ def count_unlabelled_naive(rider: Rider, q: int, n: int,
     node per square pair (a fixed rule, paid before the masks are built)
     and each level's placements at once, before they are scanned, with
     the last piece counted by popcount: C(n^2, 2) + u(1; n) + ... + u(q-1; n).
+    The search recurses once per piece, so a q near Python's recursion
+    limit (about 1,000) raises ValueError.
     """
     if q < 0 or n < 0:
         raise ValueError("q and n must be nonnegative")
@@ -72,7 +74,11 @@ def count_unlabelled_naive(rider: Rider, q: int, n: int,
                 total += search(rest, remaining - 1)
         return total
 
-    return search((1 << cells) - 1, q)
+    try:
+        return search((1 << cells) - 1, q)
+    except RecursionError:
+        raise ValueError(f"naive search is too deep for q = {q}: it "
+                         "recurses once per piece") from None
 
 
 def _add_column(counts: list[int], length: int) -> None:

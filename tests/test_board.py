@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 from bishops import (
     BISHOP,
     BasicMove,
-    Configuration,
     Rider,
     Square,
     attacks,
-    is_nonattacking,
     parse_rider,
 )
 from bishops.board import attack_masks
@@ -96,21 +94,3 @@ def test_bishop_attack_iff_diagonal(a, b):
         return
     expected = abs(a.x - b.x) == abs(a.y - b.y)
     assert attacks(a, b, BISHOP) == expected
-
-
-def test_configuration_validation():
-    config = Configuration((Square(1, 1), Square(2, 3)), 3)
-    assert config.q == 2
-    with pytest.raises(ValueError):
-        Configuration((Square(1, 1), Square(1, 1)), 3)
-    with pytest.raises(ValueError):
-        Configuration((Square(0, 1),), 3)
-    with pytest.raises(ValueError):
-        Configuration((Square(1, 4),), 3)
-
-
-def test_is_nonattacking():
-    good = Configuration((Square(1, 1), Square(1, 2)), 2)
-    bad = Configuration((Square(1, 1), Square(2, 2)), 2)
-    assert is_nonattacking(good, BISHOP)
-    assert not is_nonattacking(bad, BISHOP)

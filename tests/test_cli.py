@@ -163,6 +163,15 @@ def test_count_budget_runs_out_mid_search(capsys):
     assert err == "error: naive count exceeded the budget of 700 nodes\n"
 
 
+def test_count_too_deep_for_the_naive_search_exits_2(capsys):
+    # the default budget allows 1200 nested search frames, one per piece
+    code, out, err = run(capsys, "count", "-p", "1,100", "-q", "1200",
+                         "-n", "40")
+    assert (code, out) == (2, "")
+    assert err == ("error: naive search is too deep for q = 1200: it "
+                   "recurses once per piece\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("count", "-p", "1,0;0,1", "-q", "1", "-n", "3"),
     ("count", "-p", "1,0;0,1", "-q", "2", "-n", "3"),
@@ -472,6 +481,18 @@ def test_internal_invariant_violation_exits_3(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("Traceback (most recent call last):")
     assert err.endswith("internal error: codimension mismatch\n")
+
+
+def test_any_other_exception_exits_3(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("unexpected argument")
+
+    monkeypatch.setattr(cli, "sample_counts", broken)
+    code, out, err = run(capsys, "count", "-q", "2", "-n", "3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("internal error: unexpected argument\n")
 
 
 def test_missing_subcommand_exits_via_argparse(capsys):

@@ -138,6 +138,16 @@ def test_budget_is_pairs_plus_every_smaller_count(piece):
                 count_unlabelled_naive(rider, q, n, node_budget=needed - 1)
 
 
+def test_naive_search_too_deep_for_the_stack_raises_value_error():
+    # no two squares of a 40 x 40 board differ by a multiple of (1, 100)
+    rider = parse_rider("1,100")
+    for count in (count_unlabelled_naive, count_unlabelled):
+        with pytest.raises(ValueError, match="^naive search is too deep "
+                           "for q = 1200: it recurses once per piece$"):
+            count(rider, 1200, 40)
+    assert count_unlabelled_naive(rider, 3, 40) == comb(1600, 3)
+
+
 @pytest.mark.parametrize("q", [0, 1, 2])
 def test_negative_budget_rejected_for_every_q(q):
     with pytest.raises(ValueError, match="node budget must be nonnegative"):
