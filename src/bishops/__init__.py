@@ -17,8 +17,8 @@ _EXPORTS = {name: module for module, names in {
     "board": ("BISHOP", "BasicMove", "Rider", "Square", "attacks",
               "parse_rider"),
     "counting": ("DEFAULT_NODE_BUDGET", "CountTable", "SearchBudgetExceeded",
-                 "count_bishops_fast", "count_labelled", "count_unlabelled",
-                 "count_unlabelled_naive", "sample_counts"),
+                 "count_bishops_fast", "count_unlabelled_naive",
+                 "sample_counts"),
     "geometry": ("BishopHyperplane", "CliqueSolution",
                  "EnumerationBoundExceeded", "Fixation", "LatticeVertex",
                  "NonIntegerFixationError", "SingularFixationError",
@@ -32,7 +32,7 @@ _EXPORTS = {name: module for module, names in {
                   "interpolate_bishops"),
     "signed_graph": ("NEGATIVE", "POSITIVE", "CliqueGraph", "SignedGraph",
                      "clique_graph", "components", "cyclomatic",
-                     "double_signed", "format_graph", "incidence_matrix",
+                     "format_graph", "incidence_matrix",
                      "irredundant_reduction", "is_negative_one_forest",
                      "parse_graph", "rank", "signed_cliques"),
 }.items() for name in names}

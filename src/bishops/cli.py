@@ -8,7 +8,8 @@ with CRLF line ends.  Exit status:
 
 0  everything the command verified came out true;
 1  a verification failed (FAIL is printed on stdout);
-2  the input was rejected: one ``error:`` line on stderr;
+2  the input was rejected, an input file could not be read or the
+   output could not be written: one ``error:`` line on stderr;
 3  an internal invariant was violated, or any other exception
    escaped: a traceback and one ``internal error:`` line on stderr;
 141  the reader closed stdout before the output ended (128 + SIGPIPE);
@@ -380,16 +381,17 @@ def main(argv: list[str] | None = None) -> int:
         code = args.handler(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # the reader closed stdout: send what is still buffered to the
-        # null device, so the flush at interpreter exit cannot fail
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 141
     except (ValueError, SearchBudgetExceeded, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        closed = isinstance(exc, BrokenPipeError)  # the reader went away
+        if not closed:
+            print(f"error: {exc}", file=sys.stderr)
+        try:  # output that failed once fails again at exit,
+            sys.stdout.flush()
+        except OSError:  # so what is still buffered goes to the null device
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 141 if closed else 2
     except Exception as exc:  # any other exception is a bug
         import traceback
         traceback.print_exc()

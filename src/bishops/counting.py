@@ -16,7 +16,6 @@ plain record, rendered by :mod:`bishops.cli`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 from .board import BISHOP, Rider, attack_masks
 
@@ -129,21 +128,6 @@ def count_bishops_fast(q: int, n: int) -> int:
     """Exact u(q; n) for bishops, in time polynomial in q and n: the
     last board size of :func:`_bishop_counts`."""
     return _bishop_counts(q, n, n)[n]
-
-
-def count_unlabelled(rider: Rider, q: int, n: int, *, method: str = "auto",
-                     node_budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """u(q; n) by the requested method, within ``node_budget``: one
-    board size of :func:`sample_counts`."""
-    return sample_counts(rider, q, n, n, method,
-                         node_budget=node_budget).entries[n]
-
-
-def count_labelled(rider: Rider, q: int, n: int, *, method: str = "auto",
-                   node_budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """o(q; n) = q! * u(q; n): placements of distinguishable pieces."""
-    return factorial(q) * count_unlabelled(rider, q, n, method=method,
-                                           node_budget=node_budget)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from .signed_graph import (
     SignedGraph,
     _solve_transpose,
     clique_graph,
-    double_signed,
     signed_cliques,
 )
 
@@ -193,16 +192,9 @@ class Fixation:
             raise ValueError("axis must be 'x' or 'y'")
         if self.index < 1:
             raise ValueError("piece index must be at least 1")
-        value = self.value
-        if isinstance(value, Fraction):
-            if value.denominator != 1:
-                raise NonIntegerFixationError(
-                    f"fixation value {value} is not an integer")
-            value = int(value)
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not isinstance(self.value, int) or isinstance(self.value, bool):
             raise NonIntegerFixationError(
-                f"fixation value {value!r} is not an integer")
-        object.__setattr__(self, "value", value)
+                f"fixation value {self.value!r} is not an integer")
 
     @property
     def coordinate(self) -> str:
@@ -330,33 +322,36 @@ def solve_via_clique_graph(graph: SignedGraph,
     Pieces joined by positive edges share x_i + y_i (the clique value
     a_k), pieces joined by negative edges share -x_i + y_i (the value
     b_l): the signed-graph labeling, into which :func:`subset_signed_graph`
-    maps an arrangement subset.  Each fixation selects the x or y
-    edge of its piece in the doubled clique graph (x is positive, y is
-    negative); those edges must form a spanning negative 1-forest, which
-    is exactly what makes M = H(Psi) nonsingular.  The right-hand side
-    2(c; d) is even, so a and b come out integral, which is to say every
-    coordinate x_i = (a_k - b_l)/2, y_i = (a_k + b_l)/2 is a weak half
-    integer with matched parity inside each piece's pair.  That is
-    re-checked on the way out, as is every fixation and every edge, read
-    as its mirror hyperplane's attack equation in integers on 2 * point.
+    maps an arrangement subset.  Psi has one node per clique, the
+    positive ones 1..|pos| first, and one edge per fixation: fixing x_i
+    or y_i, where piece i has clique-graph edge (k, l), adds the edge
+    (k + 1, |pos| + l + 1), positive for x and negative for y, which is
+    the x or y copy of that edge in the doubled clique graph.  Psi must
+    be a spanning negative 1-forest, which is exactly what makes
+    M = H(Psi) nonsingular.  The right-hand side 2(c; d) is even, so a
+    and b come out integral, which is to say every coordinate
+    x_i = (a_k - b_l)/2, y_i = (a_k + b_l)/2 is a weak half integer with
+    matched parity inside each piece's pair.  That is re-checked on the
+    way out, as is every fixation and every edge, read as its mirror
+    hyperplane's attack equation in integers on 2 * point.
     """
     clique = clique_graph(graph)
     for fixation in fixations:
         if not 1 <= fixation.index <= graph.q:
             raise ValueError(
                 f"fixation {fixation.coordinate} is outside 1..{graph.q}")
-    # the doubled clique graph lists piece i's x edge, then its y edge,
-    # in the same order as the coordinates
-    doubled = double_signed(clique)
-    psi = SignedGraph(doubled.q, tuple(doubled.edges[fixation.position()]
-                                       for fixation in fixations))
+    offset = len(clique.pos)
+    ends = [clique.edges[fixation.index - 1] for fixation in fixations]
+    psi = SignedGraph(offset + len(clique.neg), tuple(
+        (k + 1, offset + l + 1, POSITIVE if fixation.axis == "x" else NEGATIVE)
+        for fixation, (k, l) in zip(fixations, ends)))
     values = _solve_transpose(psi, [2 * fixation.value
                                     for fixation in fixations])
     if values is None:
         raise SingularFixationError(
             "the fixation edges must form a spanning negative 1-forest "
             "of the doubled clique graph; M would be singular")
-    a, b = tuple(values[:len(clique.pos)]), tuple(values[len(clique.pos):])
+    a, b = tuple(values[:offset]), tuple(values[offset:])
     point = [c for k, l in clique.edges
              for c in ((a[k] - b[l]) / 2, (a[k] + b[l]) / 2)]
     _require(_half_integral(point),

@@ -210,22 +210,6 @@ def cyclomatic(graph: SignedGraph) -> int:
     return len(graph.edges) - graph.q + len(components(graph))
 
 
-def double_signed(clique: CliqueGraph) -> SignedGraph:
-    """Signed graph on the clique nodes with each clique-graph edge v_i
-    doubled into a positive x-version and a negative y-version.
-
-    Positive-clique nodes come first (1..|pos|), then negative-clique
-    nodes; the edges for v_i are columns 2i-1 and 2i in order.
-    """
-    offset = len(clique.pos)
-    edges: list[Edge] = []
-    for k, l in clique.edges:
-        a, b = k + 1, offset + l + 1
-        edges.append((a, b, POSITIVE))
-        edges.append((a, b, NEGATIVE))
-    return SignedGraph(offset + len(clique.neg), tuple(edges))
-
-
 RawFixation = tuple[str, int, int]
 
 

@@ -10,8 +10,6 @@ from bishops import (
     BISHOP,
     SearchBudgetExceeded,
     count_bishops_fast,
-    count_labelled,
-    count_unlabelled,
     count_unlabelled_naive,
     parse_rider,
     sample_counts,
@@ -141,10 +139,12 @@ def test_budget_is_pairs_plus_every_smaller_count(piece):
 def test_naive_search_too_deep_for_the_stack_raises_value_error():
     # no two squares of a 40 x 40 board differ by a multiple of (1, 100)
     rider = parse_rider("1,100")
-    for count in (count_unlabelled_naive, count_unlabelled):
-        with pytest.raises(ValueError, match="^naive search is too deep "
-                           "for q = 1200: it recurses once per piece$"):
-            count(rider, 1200, 40)
+    too_deep = ("^naive search is too deep for q = 1200: it recurses once "
+                "per piece$")
+    with pytest.raises(ValueError, match=too_deep):
+        count_unlabelled_naive(rider, 1200, 40)
+    with pytest.raises(ValueError, match=too_deep):
+        sample_counts(rider, 1200, 40, 40)
     assert count_unlabelled_naive(rider, 3, 40) == comb(1600, 3)
 
 
@@ -154,35 +154,14 @@ def test_negative_budget_rejected_for_every_q(q):
         count_unlabelled_naive(parse_rider("1,0;0,1"), q, 3, node_budget=-5)
 
 
-def test_count_unlabelled_dispatch():
-    rook = parse_rider("1,0;0,1")
-    assert count_unlabelled(BISHOP, 2, 3) == 26
-    assert count_unlabelled(BISHOP, 2, 3, method="naive") == 26
-    assert count_unlabelled(rook, 2, 3, method="auto") == 18
-    with pytest.raises(ValueError):
-        count_unlabelled(rook, 2, 3, method="fast")
-    with pytest.raises(ValueError):
-        count_unlabelled(BISHOP, 2, 3, method="guess")
-
-
 def test_count_unlabelled_keeps_the_budget_of_sample_counts():
     with pytest.raises(ValueError, match="node budget must be nonnegative"):
-        count_unlabelled(BISHOP, 2, 3, node_budget=-1)
+        sample_counts(BISHOP, 2, 3, 3, node_budget=-1)
     # the fast table for n = 50 costs 50 * 3 = 150 cell updates
     with pytest.raises(SearchBudgetExceeded, match="150 cell updates"):
-        count_unlabelled(BISHOP, 3, 50, node_budget=10)
-    with pytest.raises(SearchBudgetExceeded):
         sample_counts(BISHOP, 3, 50, 50, node_budget=10)
-    assert count_unlabelled(BISHOP, 3, 50, node_budget=150) == 2403440800
-    with pytest.raises(SearchBudgetExceeded):
-        count_labelled(BISHOP, 3, 50, node_budget=10)
-
-
-def test_count_labelled_is_factorial_multiple():
-    for q in range(0, 4):
-        for n in range(0, 5):
-            assert (count_labelled(BISHOP, q, n)
-                    == factorial(q) * count_unlabelled(BISHOP, q, n))
+    assert sample_counts(BISHOP, 3, 50, 50,
+                         node_budget=150).entries == {50: 2403440800}
 
 
 def test_sample_counts_table():

@@ -199,8 +199,7 @@ def test_subset_ranks_match_per_subset_routes(q):
 
 
 def test_fixation_validation():
-    fixation = Fixation("y", 3, F(2))
-    assert fixation.value == 2
+    fixation = Fixation("y", 3, 2)
     assert fixation.coordinate == "y_3"
     assert fixation.position() == 5
     assert Fixation("x", 1, 0).position() == 0
@@ -210,6 +209,8 @@ def test_fixation_validation():
         Fixation("x", 0, 0)
     with pytest.raises(NonIntegerFixationError):
         Fixation("x", 1, F(1, 2))
+    with pytest.raises(NonIntegerFixationError):
+        Fixation("x", 1, F(2))
     with pytest.raises(NonIntegerFixationError):
         Fixation("x", 1, True)
     with pytest.raises(NonIntegerFixationError):
@@ -393,6 +394,24 @@ def test_clique_solve_rejects_singular_fixation_sets():
                  Fixation("y", 5, 0)]
     with pytest.raises(SingularFixationError):
         solve_via_clique_graph(graph, fixations)
+
+
+def test_clique_solve_builds_one_signed_graph(monkeypatch):
+    # Psi comes straight from the clique graph, so the solve validates
+    # no doubled clique graph besides it
+    graph = example_clique_fixture()
+    built = []
+    validate = SignedGraph.__post_init__
+
+    def counted(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(SignedGraph, "__post_init__", counted)
+    fixations = [Fixation(axis, index, 0)
+                 for axis, index in FIXTURE_FIXATION_COORDINATES]
+    solve_via_clique_graph(graph, fixations)
+    assert [(psi.q, len(psi.edges)) for psi in built] == [(7, 7)]
 
 
 def test_clique_solve_rejects_out_of_range_piece():

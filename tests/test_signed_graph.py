@@ -14,7 +14,6 @@ from bishops import (
     clique_graph,
     components,
     cyclomatic,
-    double_signed,
     format_graph,
     incidence_matrix,
     irredundant_reduction,
@@ -244,17 +243,6 @@ def test_cyclomatic():
     graph = SignedGraph(4, ((1, 2, POSITIVE), (2, 3, POSITIVE),
                             (1, 3, NEGATIVE)))
     assert cyclomatic(graph) == 3 - 4 + 2
-
-
-def test_double_signed():
-    clique = clique_graph(SignedGraph(2, ((1, 2, POSITIVE),)))
-    doubled = double_signed(clique)
-    # one positive clique {1,2}, two negative singletons
-    assert doubled.q == 3
-    assert doubled.edges == (
-        (1, 2, POSITIVE), (1, 2, NEGATIVE),
-        (1, 3, POSITIVE), (1, 3, NEGATIVE),
-    )
 
 
 def test_parse_graph_round_trip():

@@ -16,6 +16,9 @@ from test_golden import GOLDEN_DIR, REPO_ROOT, parse
 SOURCE = str(Path(bishops.__file__).parent.parent)
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, [SOURCE, os.environ.get("PYTHONPATH")]))}
+# stdout block-buffered, as it is by default into a pipe or a file
+BUFFERED_ENV = {key: value for key, value in ENV.items()
+                if key != "PYTHONUNBUFFERED"}
 HEAVY_LAYERS = ("bishops.geometry", "bishops.signed_graph", "bishops.linalg")
 DEFERRED_STDLIB = ("fractions", "json", "traceback")
 
@@ -87,14 +90,13 @@ def test_closed_stdout_exits_141_without_a_message():
 def run_into_a_pipe_without_a_reader(*argv: str):
     """Run the command with block-buffered stdout into a pipe whose read
     end is already closed."""
-    buffered = {key: value for key, value in ENV.items()
-                if key != "PYTHONUNBUFFERED"}
     read_end, write_end = os.pipe()
     os.close(read_end)
     with os.fdopen(write_end, "wb") as stdout:
         return subprocess.run(
             [sys.executable, "-m", "bishops", *argv],
-            stdout=stdout, stderr=subprocess.PIPE, timeout=60, env=buffered)
+            stdout=stdout, stderr=subprocess.PIPE, timeout=60,
+            env=BUFFERED_ENV)
 
 
 def test_output_to_a_pipe_without_a_reader_exits_141():
@@ -114,6 +116,21 @@ def test_help_to_a_pipe_without_a_reader_exits_141(argv):
                           capture_output=True, timeout=60, env=ENV)
     assert (live.returncode, live.stderr) == (0, b"")
     assert live.stdout.startswith(b"usage: bishops ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device on which every write fails")
+@pytest.mark.parametrize("argv", [["count", "-q", "2", "-n", "3"],
+                                  ["count", "--help"]])
+def test_output_to_a_full_device_exits_2_with_one_line(argv):
+    # with stdout block-buffered, a failed flush in main must leave
+    # nothing for the flush at interpreter exit to fail on again
+    with open("/dev/full", "wb") as stdout:
+        done = subprocess.run([sys.executable, "-m", "bishops", *argv],
+                              stdout=stdout, stderr=subprocess.PIPE,
+                              timeout=60, env=BUFFERED_ENV)
+    assert (done.returncode, done.stderr) == (
+        2, b"error: [Errno 28] No space left on device\n")
 
 
 @pytest.mark.parametrize("name", bishops.__all__)
