@@ -31,8 +31,11 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .board import parse_rider
+from .board import BISHOP, parse_rider
 from .counting import DEFAULT_NODE_BUDGET, SearchBudgetExceeded, sample_counts
+
+# sizes checked past a fit; kept here, as the parser must not load quasipoly
+DEFAULT_HOLDOUT = 4
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -127,8 +130,7 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
         raise ValueError("holdout must be at least 1")
     quasi, holdout = _fit_table(q, args.period, rider, args.budget,
                                 args.holdout)
-    degree = quasi.degree
-    top = degree * quasi.period
+    first, last = min(holdout), max(holdout)
     minimized = quasi.minimize_period()
     holdout_ok = quasi.verify_against(holdout)
     at_minus_one = minimized.evaluate(-1)
@@ -139,16 +141,16 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
             "quasipolynomial": _quasipolynomial_dict(minimized),
             "minimized_period": minimized.period,
             "holdout": {
-                "range": [top + 1, top + args.holdout],
+                "range": [first, last],
                 "pass": holdout_ok,
             },
             "value_at_minus_1": _fraction_str(at_minus_one),
             "coefficient_periods": quasi.coefficient_periods(),
         })
     else:
-        print(f"degree {degree}, minimized period {minimized.period}")
+        print(f"degree {quasi.degree}, minimized period {minimized.period}")
         print(_quasipolynomial_text(minimized))
-        print(f"holdout n={top + 1}..{top + args.holdout}: "
+        print(f"holdout n={first}..{last}: "
               f"{'PASS' if holdout_ok else 'FAIL'}")
         print(f"value at n=-1 (reported, not verified): {at_minus_one}")
         print(f"observed coefficient periods: {quasi.coefficient_periods()}")
@@ -157,13 +159,15 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
 
 def cmd_verify_period(args: argparse.Namespace) -> int:
     from .geometry import period_upper_bound
-    from .quasipoly import interpolate_bishops
+    from .quasipoly import _fit_table
     q = args.q
     geometric = period_upper_bound(q, bound=args.bound)
-    minimized = interpolate_bishops(q).minimize_period().period
+    quasi, holdout = _fit_table(q, 2, BISHOP, DEFAULT_NODE_BUDGET,
+                                DEFAULT_HOLDOUT)
+    minimized = quasi.minimize_period().period
     expected = 1 if q < 3 else 2
     ok = (2 % geometric == 0 and geometric % minimized == 0
-          and minimized == expected)
+          and minimized == expected and quasi.verify_against(holdout))
     print(f"geometric denominator lcm: {geometric}")
     print(f"interpolated minimized period: {minimized} (expected {expected})")
     print("PASS" if ok else "FAIL")
@@ -325,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     interp.add_argument("-q", type=int, required=True)
     interp.add_argument("--period", type=int, default=2,
                         help="period hypothesis for the interpolation")
-    interp.add_argument("--holdout", type=int, default=4,
+    interp.add_argument("--holdout", type=int, default=DEFAULT_HOLDOUT,
                         help="extra samples verified after interpolation")
     interp.add_argument("--format", choices=("pretty", "json"),
                         default="pretty")

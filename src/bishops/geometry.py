@@ -6,10 +6,10 @@ by signed graphs, whose clique structure gives an independent route to
 every rank computed here.  The matroid check walks all subsets depth
 first, growing both ranks of each subset from its parent's by one row
 reduction and at most one union-find merge.  Lattice vertices of the
-inside-out unit cube are enumerated outright, as integer numerators
-over one denominator per system with a ``Fraction`` only for a kept
-vertex, and checked for half-integrality; the clique-graph linear
-system reconstructs a vertex from its fixations.
+inside-out unit cube are enumerated over the walk's independent sets,
+as integer numerators over one denominator per system with a
+``Fraction`` only for a kept vertex, and checked for half-integrality;
+the clique-graph linear system reconstructs a vertex from its fixations.
 """
 
 from __future__ import annotations
@@ -218,16 +218,18 @@ class LatticeVertex:
 def enumerate_lattice_vertices(q: int, *, bound: int = 3) -> list[LatticeVertex]:
     """All vertices of the inside-out unit cube for q bishops.
 
-    Every choice of k hyperplanes plus 2q - k facet fixations (values 0
-    or 1) whose system has a unique solution contributes its solution,
-    filtered to the cube.  Substituting the fixed coordinates leaves a
-    k x k system on the loose ones, eliminated once per choice of fixed
-    coordinates into integer numerators over one positive denominator
-    D, so each 0/1 choice of values is an integer column sum tested
-    against [0, D]; a ``Fraction`` is built only for a vertex that is
-    kept.  Points reachable from several defining sets are kept once,
-    with the first defining set in iteration order; the result is
-    sorted by coordinates, so it is deterministic.
+    Every choice of k independent hyperplanes (those whose matrix rank
+    the walk of :func:`subset_ranks` finds equal to k) plus 2q - k facet
+    fixations (values 0 or 1) whose system has a unique solution
+    contributes its solution, filtered to the cube.  Substituting the
+    fixed coordinates leaves a k x k system on the loose ones,
+    eliminated once per choice of fixed coordinates into integer
+    numerators over one positive denominator D, so each 0/1 choice of
+    values is an integer column sum tested against [0, D]; a
+    ``Fraction`` is built only for a vertex that is kept.  Points
+    reachable from several defining sets are kept once, with the first
+    defining set in iteration order; the result is sorted by
+    coordinates, so it is deterministic.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
@@ -235,42 +237,39 @@ def enumerate_lattice_vertices(q: int, *, bound: int = 3) -> list[LatticeVertex]
         raise EnumerationBoundExceeded(
             f"vertex enumeration for q={q} is above the bound {bound}")
     dim = 2 * q
-    arrangement = move_arrangement(q)
     # keyed by the point in lowest terms: (denominator, numerators)
     found: dict[tuple[int, tuple[int, ...]], LatticeVertex] = {}
-    for k in range(dim + 1):
-        for subset in combinations(arrangement, k):
-            normals = [hyperplane_normal(h, q) for h in subset]
-            # dependent attack equations can never complete to a
-            # uniquely solvable square system
-            if normals and linalg.rank(normals) < k:
+    # the walk yields subsets in index order, which a stable sort by
+    # size turns into combinations() order, size by size
+    for subset in sorted((s for s, rank, _ in subset_ranks(q)
+                          if rank == len(s)), key=len):
+        normals = [hyperplane_normal(h, q) for h in subset]
+        for fixed in combinations(range(dim), dim - len(subset)):
+            loose = [c for c in range(dim) if c not in fixed]
+            # N_L x_L = -N_F x_F, one right-hand column per fixed x
+            solved = linalg.solve_integral(
+                [[row[c] for c in loose] for row in normals],
+                [[-row[c] for c in fixed] for row in normals])
+            if solved is None:
                 continue
-            for fixed in combinations(range(dim), dim - k):
-                loose = [c for c in range(dim) if c not in fixed]
-                # N_L x_L = -N_F x_F, one right-hand column per fixed x
-                solved = linalg.solve_integral(
-                    [[row[c] for c in loose] for row in normals],
-                    [[-row[c] for c in fixed] for row in normals])
-                if solved is None:
+            d, columns = solved
+            numerators = [0] * dim
+            for values in product((0, 1), repeat=len(fixed)):
+                for c, row in zip(loose, columns):
+                    numerators[c] = sum(compress(row, values))
+                if any(not 0 <= numerators[c] <= d for c in loose):
                     continue
-                d, columns = solved
-                numerators = [0] * dim
-                for values in product((0, 1), repeat=dim - k):
-                    for c, row in zip(loose, columns):
-                        numerators[c] = sum(compress(row, values))
-                    if any(not 0 <= numerators[c] <= d for c in loose):
-                        continue
-                    for c, v in zip(fixed, values):
-                        numerators[c] = v * d
-                    g = gcd(d, *numerators)
-                    key = (d // g, tuple(n // g for n in numerators))
-                    if key in found:
-                        continue
-                    fixations = tuple(
-                        Fixation("x" if c % 2 == 0 else "y", c // 2 + 1, v)
-                        for c, v in zip(fixed, values))
-                    point = tuple(Fraction(n, d) for n in numerators)
-                    found[key] = LatticeVertex(point, subset, fixations)
+                for c, v in zip(fixed, values):
+                    numerators[c] = v * d
+                g = gcd(d, *numerators)
+                key = (d // g, tuple(n // g for n in numerators))
+                if key in found:
+                    continue
+                fixations = tuple(
+                    Fixation("x" if c % 2 == 0 else "y", c // 2 + 1, v)
+                    for c, v in zip(fixed, values))
+                point = tuple(Fraction(n, d) for n in numerators)
+                found[key] = LatticeVertex(point, subset, fixations)
     return sorted(found.values(), key=lambda vertex: vertex.point)
 
 

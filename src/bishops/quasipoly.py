@@ -271,17 +271,8 @@ def _fit_table(q: int, period: int, rider: Rider, node_budget: int,
     return fit, {n: counts[n] for n in range(top + 1, top + holdout + 1)}
 
 
-def interpolate_bishops(q: int, *, period: int = 2, rider: Rider = BISHOP,
-                        node_budget: int = DEFAULT_NODE_BUDGET
-                        ) -> Quasipolynomial:
-    """Counting quasipolynomial of q pieces of ``rider`` (the bishop by
-    default) from exact counts at n = 1..2q*period, using the known
-    leading coefficient 1/q!.
-
-    Counts come from :func:`~bishops.counting.sample_counts` with method
-    "auto": the fast counter for the bishop, the naive oracle under
-    ``node_budget`` for any other rider.  With the default period 2 this
-    is the minimal budget of 4q samples.  The result is raw (period as
-    given); callers decide whether to minimize or verify it.
-    """
-    return _fit_table(q, period, rider, node_budget)[0]
+def interpolate_bishops(q: int, *, period: int = 2) -> Quasipolynomial:
+    """Bishops' counting quasipolynomial, raw (period as given), fitted
+    to the fast counts at n = 1..2q*period with leading coefficient 1/q!;
+    the default period 2 takes the minimal 4q samples."""
+    return _fit_table(q, period, BISHOP, DEFAULT_NODE_BUDGET)[0]

@@ -299,6 +299,29 @@ def test_verify_period_fails_when_the_period_does_not_divide_the_lcm(
     ]
 
 
+def test_verify_period_fails_when_a_holdout_count_misses_the_fit(
+        capsys, monkeypatch):
+    # the fit of 2q unknowns per class to 2q samples always exists; only
+    # the counts past it can contradict it
+    q = 3
+    sample_counts = quasipoly.sample_counts
+
+    def off_by_one(*args, **kwargs):
+        table = sample_counts(*args, **kwargs)
+        if 4 * q + 1 in table.entries:
+            table.entries[4 * q + 1] += 1
+        return table
+
+    monkeypatch.setattr(quasipoly, "sample_counts", off_by_one)
+    code, out, _ = run(capsys, "verify-period", "-q", str(q))
+    assert code == 1
+    assert out.splitlines() == [
+        "geometric denominator lcm: 2",
+        "interpolated minimized period: 2 (expected 2)",
+        "FAIL",
+    ]
+
+
 @pytest.mark.parametrize("q", ["0", "-3"])
 def test_verify_period_rejects_bad_q(capsys, q):
     code, out, err = run(capsys, "verify-period", "-q", q)

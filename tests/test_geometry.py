@@ -198,6 +198,19 @@ def test_subset_ranks_match_per_subset_routes(q):
         assert (matrix_rank, graph_rank) == per_subset_ranks(subset, q)
 
 
+@pytest.mark.parametrize("q", range(1, 5))
+def test_walk_gives_independent_sets_in_combinations_order(q):
+    # vertex enumeration keeps the first defining set of each point, so
+    # its order of independent sets is part of its output
+    walked = sorted((subset for subset, rank, _ in subset_ranks(q)
+                     if rank == len(subset)), key=len)
+    direct = [subset for k in range(2 * q + 1)
+              for subset in combinations(move_arrangement(q), k)
+              if not subset or linalg.rank(
+                  [hyperplane_normal(h, q) for h in subset]) == k]
+    assert walked == direct
+
+
 def test_fixation_validation():
     fixation = Fixation("y", 3, 2)
     assert fixation.coordinate == "y_3"

@@ -11,12 +11,10 @@ from bishops import (
     InconsistentSamplesError,
     InsufficientSamplesError,
     Quasipolynomial,
-    cli,
     count_bishops_fast,
     interpolate,
     interpolate_bishops,
     linalg,
-    parse_rider,
 )
 
 from helpers import reference_solve
@@ -336,12 +334,23 @@ def test_interpolate_bishops_three_pieces_frozen_constituents():
         F(1, 6), F(-2, 3), F(5, 4), F(-5, 3), F(4, 3), F(-2, 3), F(1, 4))
 
 
-def test_interpolate_bishops_other_rider_matches_rook_golden():
-    # tests/golden/interpolate_rook_q2.txt: u(2; n) = C(n, 2)^2 * 2!
-    quasi = interpolate_bishops(2, rider=parse_rider("1,0;0,1"))
-    assert quasi.period == 2
-    assert cli._quasipolynomial_text(quasi.minimize_period()) == (
-        "n = 0 (mod 1): 1/2*n^4 - n^3 + 1/2*n^2")
+def test_parity_gaps_pin_period_exactly_two():
+    # gamma_i(r) is coefficient(i, r), r = 0 the even class: the first
+    # six coefficients agree on both classes, gamma_6 and gamma_7 do not
+    for q in [*range(3, 41), 64]:
+        quasi = interpolate_bishops(q)
+        gap = [quasi.coefficient(i, 0) - quasi.coefficient(i, 1)
+               for i in range(8 if q >= 4 else 7)]
+        assert gap[:6] == [0] * 6, q
+        assert gap[6] == F(-1, 4 * factorial(q - 3)), q
+        if q >= 4:
+            assert gap[7] == F(q + 2, 6 * factorial(q - 4)), q
+
+
+def test_period_twelve_fit_minimizes_to_the_true_period():
+    for q in range(1, 33):
+        minimized = interpolate_bishops(q, period=12).minimize_period()
+        assert minimized.period == (1 if q <= 2 else 2), q
 
 
 def test_interpolate_bishops_validation():
