@@ -22,11 +22,11 @@ _EXPORTS = {name: module for module, names in {
     "geometry": ("BishopHyperplane", "CliqueSolution",
                  "EnumerationBoundExceeded", "Fixation", "LatticeVertex",
                  "NonIntegerFixationError", "SingularFixationError",
-                 "codim_of_subset", "denominator_lcm",
-                 "enumerate_lattice_vertices", "hyperplane_normal",
-                 "matroid_check", "move_arrangement", "period_upper_bound",
-                 "solve_incidence_transpose", "solve_via_clique_graph",
-                 "subset_signed_graph", "verify_half_integrality"),
+                 "denominator_lcm", "enumerate_lattice_vertices",
+                 "hyperplane_normal", "matroid_check", "move_arrangement",
+                 "period_upper_bound", "solve_incidence_transpose",
+                 "solve_via_clique_graph", "subset_signed_graph",
+                 "verify_half_integrality"),
     "quasipoly": ("InconsistentSamplesError", "InsufficientSamplesError",
                   "InterpolationError", "Quasipolynomial", "interpolate",
                   "interpolate_bishops"),

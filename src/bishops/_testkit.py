@@ -12,6 +12,7 @@ from .board import BISHOP
 from .counting import count_bishops_fast, count_unlabelled_naive
 from .geometry import (
     Fixation,
+    SingularFixationError,
     solve_incidence_transpose,
     solve_via_clique_graph,
 )
@@ -179,12 +180,14 @@ def check_transpose_solves(rng: Random, trials: int) -> str | None:
     for _ in range(trials):
         forest = random_negative_one_forest(rng)
         rhs = [rng.randint(-9, 9) for _ in range(forest.q)]
-        solution = solve_incidence_transpose(forest, rhs)
+        try:
+            solution = solve_incidence_transpose(forest, rhs)
+            even = solve_incidence_transpose(forest, [2 * v for v in rhs])
+        except (AssertionError, SingularFixationError) as error:
+            return f"{error} for {forest}"
         if any(value.denominator not in (1, 2) for value in solution):
             return f"solution not weakly half-integral for {forest}"
-        even = [2 * value for value in rhs]
-        if any(value.denominator != 1
-               for value in solve_incidence_transpose(forest, even)):
+        if any(value.denominator != 1 for value in even):
             return f"even right-hand side gave a fractional solution for {forest}"
     return None
 
@@ -193,5 +196,8 @@ def check_clique_solves(rng: Random, trials: int) -> str | None:
     for _ in range(trials):
         graph, fixations = random_clique_solve_instance(rng)
         # the solver re-verifies equations, integrality, and parity
-        solve_via_clique_graph(graph, fixations)
+        try:
+            solve_via_clique_graph(graph, fixations)
+        except (AssertionError, SingularFixationError) as error:
+            return f"{error} for {graph} fixed by {fixations}"
     return None

@@ -2,11 +2,12 @@
 
 Coordinates are interleaved (x_1, y_1, ..., x_q, y_q) throughout.  The
 attack hyperplanes pair off piece indices; subsets of them are mirrored
-by signed graphs, whose clique structure gives an independent route to
-every rank computed here.  The matroid check walks all subsets depth
-first, growing both ranks of each subset from its parent's by one row
-reduction and at most one union-find merge.  Lattice vertices of the
-inside-out unit cube are enumerated over the walk's independent sets,
+by signed graphs, whose sign-class forests give an independent route to
+every independence test made here.  The matroid check walks the
+independent sets and their one-hyperplane extensions depth first,
+deciding both independence bits of each subset from its parent's by one
+row reduction and at most one union-find merge.  Lattice vertices of
+the inside-out unit cube are enumerated over the walk's independent sets,
 as integer numerators over one denominator per system with a
 ``Fraction`` only for a kept vertex, and checked for half-integrality;
 the clique-graph linear system reconstructs a vertex from its fixations.
@@ -28,7 +29,6 @@ from .signed_graph import (
     SignedGraph,
     _solve_transpose,
     clique_graph,
-    signed_cliques,
 )
 
 
@@ -98,40 +98,25 @@ def subset_signed_graph(subset: Iterable[BishopHyperplane], q: int) -> SignedGra
     return SignedGraph(q, tuple((h.i, h.j, _mirror_sign(h.sign)) for h in subset))
 
 
-def codim_of_subset(subset: Iterable[BishopHyperplane], q: int) -> int:
-    """Codimension of the intersection of the subset, computed both as
-    the exact rank of the stacked normals and as the sum of the two
-    sign-class forest ranks of the mirror signed graph.
+def independence_walk(q: int) -> Iterator[
+        tuple[tuple[BishopHyperplane, ...], bool, bool]]:
+    """Yield (subset, matrix independent, forests) once for each subset
+    of the arrangement that is independent, or extends an independent
+    one by one hyperplane of larger index, depth first in index order.
 
-    The two routes must agree; a mismatch is a build-stopping bug, not a
-    recoverable condition.
-    """
-    hyperplanes = list(subset)
-    normals = [hyperplane_normal(h, q) for h in hyperplanes]
-    matrix_rank = linalg.rank(normals)
-    pos, neg = signed_cliques(subset_signed_graph(hyperplanes, q))
-    graph_rank = 2 * q - len(pos) - len(neg)
-    if matrix_rank != graph_rank:
-        raise AssertionError(
-            f"codimension mismatch for q={q}: matrix rank {matrix_rank}, "
-            f"sign-class rank {graph_rank}")
-    return matrix_rank
-
-
-def subset_ranks(q: int) -> Iterator[
-        tuple[tuple[BishopHyperplane, ...], int, int]]:
-    """Yield (subset, matrix rank, sign-class forest rank) once for each
-    of the 2^(2*C(q,2)) subsets of the arrangement, depth first.
-
-    A child subset is its parent plus one hyperplane of larger index, so
-    both ranks grow from the parent's by one step each.  The matrix
-    route keeps an echelon basis of the stacked normals and reduces the
-    new normal against it (:func:`linalg.reduce_row`): the rank rises by
-    one exactly when a nonzero row is left.  The graph route keeps one
-    union-find per sign class, as class labels of the pieces that a
-    merge relabels in a fresh copy: the forest rank rises by one exactly
-    when the new edge joins two classes of its sign.  The two routes
-    share nothing but the subset.
+    A subset is expanded only when the matrix route calls it
+    independent, since a dependent set has only dependent supersets.
+    The matrix route keeps an echelon basis of the stacked normals and
+    reduces the new normal against it (:func:`linalg.reduce_row`): the
+    child is independent exactly when a nonzero row is left.  The graph
+    route keeps one union-find per sign class, as class labels of the
+    pieces that a merge relabels in a fresh copy: the child's edges
+    still form a forest in each sign class exactly when the parent's do
+    and the new edge joins two classes of its sign.  The two routes
+    share nothing but the subset.  Two matroids with the same
+    independent sets have the same rank function, and the least subset
+    on which the routes disagree extends one on which they agree, so
+    the walked subsets decide the rank identity on every subset.
     """
     arrangement = move_arrangement(q)
     # per hyperplane: its normal, and the two nodes its edge joins; the
@@ -143,39 +128,37 @@ def subset_ranks(q: int) -> Iterator[
         steps.append((h, hyperplane_normal(h, q),
                       offset + h.i - 1, offset + h.j - 1))
     # (subset, index of its last hyperplane, echelon basis, class label
-    # of each node, forest rank)
-    stack = [((), -1, (), tuple(range(2 * q)), 0)]
+    # of each node, matrix independence, forest independence); a
+    # dependent subset is never expanded, so its basis goes unread
+    stack = [((), -1, (), tuple(range(2 * q)), True, True)]
     while stack:
-        subset, last, basis, labels, graph_rank = stack.pop()
-        yield subset, len(basis), graph_rank
+        subset, last, basis, labels, independent, forests = stack.pop()
+        yield subset, independent, forests
+        if not independent:
+            continue
         # pushed in reverse, so children are walked in index order
         for k in range(len(steps) - 1, last, -1):
             h, normal, i, j = steps[k]
             reduced = linalg.reduce_row(basis, normal)
-            child_basis = basis if reduced is None else (*basis, reduced)
             a, b = labels[i], labels[j]
-            if a == b:
-                child_labels, child_rank = labels, graph_rank
-            else:
-                child_labels = tuple(a if label == b else label
-                                     for label in labels)
-                child_rank = graph_rank + 1
-            stack.append(((*subset, h), k, child_basis, child_labels,
-                          child_rank))
+            child_labels = labels if a == b else tuple(
+                a if label == b else label for label in labels)
+            stack.append(((*subset, h), k, (*basis, reduced), child_labels,
+                          reduced is not None, forests and a != b))
 
 
 def matroid_check(q: int, *, bound: int = 4) -> bool:
     """Exhaustively test that arrangement rank equals the direct sum of
-    the two sign-class forest ranks, over every one of the
-    2^(2*C(q,2)) subsets of the arrangement (see :func:`subset_ranks`)."""
+    the two sign-class forest ranks, through the independent sets of
+    the arrangement and their one-hyperplane extensions (see
+    :func:`independence_walk`)."""
     if q < 0:
         raise ValueError("q must be nonnegative")
     if q > bound:
         raise EnumerationBoundExceeded(
             f"matroid check for q={q} needs 2^{q * (q - 1)} subsets; "
             f"the bound is {bound}")
-    return all(matrix_rank == graph_rank
-               for _, matrix_rank, graph_rank in subset_ranks(q))
+    return all(m == f for _, m, f in independence_walk(q))
 
 
 @dataclass(frozen=True, order=True)
@@ -218,8 +201,8 @@ class LatticeVertex:
 def enumerate_lattice_vertices(q: int, *, bound: int = 3) -> list[LatticeVertex]:
     """All vertices of the inside-out unit cube for q bishops.
 
-    Every choice of k independent hyperplanes (those whose matrix rank
-    the walk of :func:`subset_ranks` finds equal to k) plus 2q - k facet
+    Every choice of k independent hyperplanes (those that the matrix
+    route of :func:`independence_walk` calls independent) plus 2q - k facet
     fixations (values 0 or 1) whose system has a unique solution
     contributes its solution, filtered to the cube.  Substituting the
     fixed coordinates leaves a k x k system on the loose ones,
@@ -241,8 +224,8 @@ def enumerate_lattice_vertices(q: int, *, bound: int = 3) -> list[LatticeVertex]
     found: dict[tuple[int, tuple[int, ...]], LatticeVertex] = {}
     # the walk yields subsets in index order, which a stable sort by
     # size turns into combinations() order, size by size
-    for subset in sorted((s for s, rank, _ in subset_ranks(q)
-                          if rank == len(s)), key=len):
+    for subset in sorted((s for s, m, _ in independence_walk(q) if m),
+                         key=len):
         normals = [hyperplane_normal(h, q) for h in subset]
         for fixed in combinations(range(dim), dim - len(subset)):
             loose = [c for c in range(dim) if c not in fixed]

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import factorial
 from pathlib import Path
 
 from bishops import (
@@ -13,7 +15,10 @@ from bishops import (
     SignedGraph,
     Square,
     attacks,
+    hyperplane_normal,
     linalg,
+    signed_cliques,
+    subset_signed_graph,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -160,3 +165,33 @@ def reference_irredundant_edges(graph: SignedGraph) -> tuple:
             parent[b] = a
             kept.append((i, j, sign))
     return tuple(kept)
+
+
+def per_subset_ranks(subset, q: int) -> tuple[int, int]:
+    """The two routes computed afresh for one subset: exact rank of the
+    stacked normals, and 2q minus the signed cliques of the mirror
+    signed graph."""
+    normals = [hyperplane_normal(h, q) for h in subset]
+    pos, neg = signed_cliques(subset_signed_graph(subset, q))
+    return linalg.rank(normals), 2 * q - len(pos) - len(neg)
+
+
+def reciprocity_sum(q: int, m: int, weight=factorial) -> int:
+    """Sum over all labelled q-tuples of squares of the m x m board,
+    repeats allowed, of the product of weight(k) over the diagonals and
+    over the anti-diagonals, k the number of pieces on the line.
+
+    With weight k!, each tuple counts the regions of the move
+    arrangement whose closure holds it, so by Ehrhart reciprocity for
+    the inside-out cube the sum is q! u(q; -m).  Shares no code with
+    ``bishops.counting``."""
+    squares = list(product(range(m), repeat=2))
+    total = 0
+    for placement in product(squares, repeat=q):
+        term = 1
+        for line in (Counter(x - y for x, y in placement),
+                     Counter(x + y for x, y in placement)):
+            for k in line.values():
+                term *= weight(k)
+        total += term
+    return total

@@ -461,6 +461,12 @@ def _plus_one(function):
     return lambda *args, **kwargs: function(*args, **kwargs) + 1
 
 
+def _raising(error):
+    def raise_(*args, **kwargs):
+        raise error
+    return raise_
+
+
 @pytest.mark.parametrize("name, patch, line", [
     ("count_unlabelled_naive", _plus_one(_testkit.count_unlabelled_naive),
      "counter agreement: FAIL (u(2;2): fast 4 != naive 5)"),
@@ -474,14 +480,23 @@ def _plus_one(function):
     ("solve_incidence_transpose",
      lambda graph, rhs: [F(1, 3)] * len(rhs),
      "incidence transpose solves: FAIL (solution not weakly half-integral "),
+    ("solve_incidence_transpose",
+     _raising(geometry.SingularFixationError("singular")),
+     "incidence transpose solves: FAIL (singular for SignedGraph("),
+    ("solve_via_clique_graph", _raising(AssertionError("off an edge")),
+     "clique-graph solves: FAIL (off an edge for SignedGraph("),
+    ("solve_via_clique_graph",
+     _raising(geometry.SingularFixationError("singular")),
+     "clique-graph solves: FAIL (singular for SignedGraph("),
 ])
 def test_check_reports_a_failing_suite(capsys, monkeypatch, name, patch,
                                        line):
+    # a failing suite is reported in its line, and the later suites run
     monkeypatch.setattr(_testkit, name, patch)
     code, out, err = run(capsys, "check", "--seed", "0", "--spot", "0",
-                         "--graphs", "5", "--matrices", "1", "--solves", "0")
+                         "--graphs", "5", "--matrices", "1", "--solves", "1")
     failures = [row for row in out.splitlines() if ": FAIL" in row]
-    assert (code, err, len(failures)) == (1, "", 1)
+    assert (code, err, len(failures), len(out.splitlines())) == (1, "", 1, 4)
     assert failures[0].startswith(line)
 
 

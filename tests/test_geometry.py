@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import factorial
 from random import Random
 
 import pytest
@@ -15,17 +16,16 @@ from bishops import (
     NonIntegerFixationError,
     SignedGraph,
     SingularFixationError,
-    codim_of_subset,
     denominator_lcm,
     enumerate_lattice_vertices,
     geometry,
     hyperplane_normal,
+    interpolate_bishops,
     is_negative_one_forest,
     linalg,
     matroid_check,
     move_arrangement,
     period_upper_bound,
-    signed_cliques,
     signed_graph,
     solve_incidence_transpose,
     solve_via_clique_graph,
@@ -33,11 +33,12 @@ from bishops import (
     verify_half_integrality,
 )
 from bishops._testkit import random_clique_solve_instance, random_negative_one_forest
-from bishops.geometry import LatticeVertex, subset_ranks
+from bishops.geometry import LatticeVertex, independence_walk
 
 from helpers import (
     FIXTURE_FIXATION_COORDINATES,
     example_clique_fixture,
+    per_subset_ranks,
     reference_det,
     reference_solve,
 )
@@ -104,48 +105,32 @@ def test_subset_signed_graph():
 
 
 def test_codim_small_cases():
-    assert codim_of_subset([], 2) == 0
-    assert codim_of_subset([BishopHyperplane(1, 2, POSITIVE)], 2) == 1
-    assert codim_of_subset(
+    assert per_subset_ranks([], 2) == (0, 0)
+    assert per_subset_ranks([BishopHyperplane(1, 2, POSITIVE)], 2) == (1, 1)
+    assert per_subset_ranks(
         [BishopHyperplane(1, 2, POSITIVE), BishopHyperplane(1, 2, NEGATIVE)],
-        2) == 2
+        2) == (2, 2)
     # a positive triangle of hyperplanes is dependent: codim 2, not 3
-    assert codim_of_subset(
+    assert per_subset_ranks(
         [BishopHyperplane(1, 2, POSITIVE), BishopHyperplane(2, 3, POSITIVE),
-         BishopHyperplane(1, 3, POSITIVE)], 3) == 2
+         BishopHyperplane(1, 3, POSITIVE)], 3) == (2, 2)
 
 
 def test_codim_of_full_arrangement():
     for q in range(2, 5):
-        assert codim_of_subset(move_arrangement(q), q) == 2 * (q - 1)
-
-
-def test_codim_mismatch_stops(monkeypatch):
-    # singleton cliques claim sign-class rank 0 against matrix rank 1
-    def singletons(graph):
-        parts = [[v] for v in range(1, graph.q + 1)]
-        return parts, parts
-
-    monkeypatch.setattr(geometry, "signed_cliques", singletons)
-    with pytest.raises(AssertionError, match="codimension mismatch"):
-        codim_of_subset(move_arrangement(2)[:1], 2)
+        assert per_subset_ranks(move_arrangement(q), q) == (
+            2 * (q - 1), 2 * (q - 1))
 
 
 def test_dim_plus_codim_identity():
-    # the subspace cut out by a subset has dimension |A| + |B| of its
-    # mirror signed graph, complementary to the codimension
-    from itertools import combinations
-
-    from bishops import signed_cliques
-
+    # the subspace cut out by a subset has dimension 2q minus the rank of
+    # its normals, which is |A| + |B| of its mirror signed graph
     for q in (2, 3):
         arrangement = move_arrangement(q)
         for size in range(len(arrangement) + 1):
             for subset in combinations(arrangement, size):
-                graph = subset_signed_graph(subset, q)
-                pos, neg = signed_cliques(graph)
-                assert (len(pos) + len(neg)
-                        == 2 * q - codim_of_subset(subset, q))
+                matrix_rank, graph_rank = per_subset_ranks(subset, q)
+                assert matrix_rank == graph_rank
 
 
 def test_matroid_check():
@@ -177,33 +162,48 @@ def test_matroid_check_fails_when_a_route_is_corrupted(monkeypatch):
     assert matroid_check(3) is False
 
 
-def per_subset_ranks(subset, q):
-    """The two routes computed afresh for one subset: exact rank of the
-    stacked normals, and 2q minus the signed cliques of the mirror
-    signed graph."""
-    normals = [hyperplane_normal(h, q) for h in subset]
-    pos, neg = signed_cliques(subset_signed_graph(subset, q))
-    return linalg.rank(normals), 2 * q - len(pos) - len(neg)
-
-
 @pytest.mark.parametrize("q", range(5))
 def test_subset_ranks_match_per_subset_routes(q):
-    walked = list(subset_ranks(q))
+    # the walk visits each independent subset and each extension of one
+    # by a hyperplane of larger index, once, and no other subset
+    walk_size = (1, 1, 4, 60, 2260)[q]
     arrangement = move_arrangement(q)
-    assert len(walked) == 2 ** (q * (q - 1))
-    assert ({subset for subset, _, _ in walked}
-            == {subset for size in range(len(arrangement) + 1)
-                for subset in combinations(arrangement, size)})
-    for subset, matrix_rank, graph_rank in walked:
-        assert (matrix_rank, graph_rank) == per_subset_ranks(subset, q)
+    ranks = {subset: per_subset_ranks(subset, q)
+             for size in range(len(arrangement) + 1)
+             for subset in combinations(arrangement, size)}
+    independent = {subset for subset, (rank, _) in ranks.items()
+                   if rank == len(subset)}
+    expected = independent | {
+        (*subset, h) for subset in independent
+        for k, h in enumerate(arrangement)
+        if not subset or arrangement.index(subset[-1]) < k}
+    walked = list(independence_walk(q))
+    assert len(walked) == len(expected) == walk_size
+    assert {subset for subset, _, _ in walked} == expected
+    for subset, matrix_independent, forests in walked:
+        matrix_rank, graph_rank = ranks[subset]
+        assert (matrix_independent, forests) == (
+            matrix_rank == len(subset), graph_rank == len(subset))
+
+
+@pytest.mark.parametrize("q", range(1, 5))
+def test_region_count_is_u_at_minus_one(q):
+    # Zaslavsky: the arrangement has sum_S (-1)^(|S| - rank S) regions,
+    # which is q! u(q; -1); ranks are computed afresh for every subset
+    arrangement = move_arrangement(q)
+    regions = sum((-1) ** (size - per_subset_ranks(subset, q)[0])
+                  for size in range(len(arrangement) + 1)
+                  for subset in combinations(arrangement, size))
+    assert regions == factorial(q) * interpolate_bishops(q).evaluate(-1)
+    assert regions == (1, 4, 36, 576)[q - 1]
 
 
 @pytest.mark.parametrize("q", range(1, 5))
 def test_walk_gives_independent_sets_in_combinations_order(q):
     # vertex enumeration keeps the first defining set of each point, so
     # its order of independent sets is part of its output
-    walked = sorted((subset for subset, rank, _ in subset_ranks(q)
-                     if rank == len(subset)), key=len)
+    walked = sorted((subset for subset, independent, _
+                     in independence_walk(q) if independent), key=len)
     direct = [subset for k in range(2 * q + 1)
               for subset in combinations(move_arrangement(q), k)
               if not subset or linalg.rank(

@@ -17,7 +17,7 @@ from bishops import (
     linalg,
 )
 
-from helpers import reference_solve
+from helpers import reciprocity_sum, reference_solve
 
 F = Fraction
 
@@ -337,7 +337,7 @@ def test_interpolate_bishops_three_pieces_frozen_constituents():
 def test_parity_gaps_pin_period_exactly_two():
     # gamma_i(r) is coefficient(i, r), r = 0 the even class: the first
     # six coefficients agree on both classes, gamma_6 and gamma_7 do not
-    for q in [*range(3, 41), 64]:
+    for q in [*range(3, 41), 64, 96, 128]:
         quasi = interpolate_bishops(q)
         gap = [quasi.coefficient(i, 0) - quasi.coefficient(i, 1)
                for i in range(8 if q >= 4 else 7)]
@@ -345,6 +345,24 @@ def test_parity_gaps_pin_period_exactly_two():
         assert gap[6] == F(-1, 4 * factorial(q - 3)), q
         if q >= 4:
             assert gap[7] == F(q + 2, 6 * factorial(q - 4)), q
+
+
+@pytest.mark.parametrize("q, boards", [(1, 5), (2, 5), (3, 5), (4, 4)])
+def test_reciprocity_at_negative_board_sizes(q, boards):
+    # q! u(q; -m) counts placements with repeats on the m x m board,
+    # each weighted by the regions whose closure holds it
+    quasi = interpolate_bishops(q)
+    for m in range(1, boards + 1):
+        assert reciprocity_sum(q, m) == factorial(q) * quasi.evaluate(-m), m
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_reciprocity_oracle_sees_a_wrong_weight(q):
+    # k pieces on one line have k! orders; with weight k the sum differs
+    # once a line can hold three pieces
+    quasi = interpolate_bishops(q)
+    assert (reciprocity_sum(q, 2, weight=lambda k: k)
+            != factorial(q) * quasi.evaluate(-2))
 
 
 def test_period_twelve_fit_minimizes_to_the_true_period():
