@@ -19,13 +19,12 @@ _EXPORTS = {name: module for module, names in {
     "counting": ("DEFAULT_NODE_BUDGET", "CountTable", "SearchBudgetExceeded",
                  "count_bishops_fast", "count_unlabelled_naive",
                  "sample_counts"),
-    "geometry": ("BishopHyperplane", "CliqueSolution",
-                 "EnumerationBoundExceeded", "Fixation", "LatticeVertex",
-                 "NonIntegerFixationError", "SingularFixationError",
-                 "denominator_lcm", "enumerate_lattice_vertices",
-                 "hyperplane_normal", "matroid_check", "move_arrangement",
-                 "period_upper_bound", "solve_incidence_transpose",
-                 "solve_via_clique_graph", "subset_signed_graph",
+    "geometry": ("CliqueSolution", "EnumerationBoundExceeded", "Fixation",
+                 "LatticeVertex", "NonIntegerFixationError",
+                 "SingularFixationError", "denominator_lcm",
+                 "enumerate_lattice_vertices", "hyperplane_normal",
+                 "matroid_check", "move_arrangement", "period_upper_bound",
+                 "solve_incidence_transpose", "solve_via_clique_graph",
                  "verify_half_integrality"),
     "quasipoly": ("InconsistentSamplesError", "InsufficientSamplesError",
                   "InterpolationError", "Quasipolynomial", "interpolate",

@@ -191,10 +191,10 @@ def cmd_vertices(args: argparse.Namespace) -> int:
             "denominator_lcm": denominator_lcm(vertices),
             "vertices": [{
                 "point": [_fraction_str(c) for c in vertex.point],
+                # the JSON names the x - y hyperplane "+"
                 "hyperplanes": [
-                    {"i": h.i, "j": h.j,
-                     "sign": "+" if h.sign == POSITIVE else "-"}
-                    for h in vertex.hyperplanes],
+                    {"i": i, "j": j, "sign": "-" if sign == POSITIVE else "+"}
+                    for i, j, sign in vertex.hyperplanes],
                 "fixations": [{"coordinate": f.coordinate, "value": f.value}
                               for f in vertex.fixations],
             } for vertex in vertices],

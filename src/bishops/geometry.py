@@ -1,9 +1,10 @@
 """The bishops arrangement in R^{2q} and its lattice vertices.
 
-Coordinates are interleaved (x_1, y_1, ..., x_q, y_q) throughout.  The
-attack hyperplanes pair off piece indices; subsets of them are mirrored
-by signed graphs, whose sign-class forests give an independent route to
-every independence test made here.  The matroid check walks the
+Coordinates are interleaved (x_1, y_1, ..., x_q, y_q) throughout.  Each
+attack hyperplane is the signed-graph edge (i, j, sign) that names its
+equation, so a subset of the arrangement is a signed graph on the q
+pieces, whose sign-class forests give an independent route to every
+independence test made here.  The matroid check walks the
 independent sets and their one-hyperplane extensions depth first,
 deciding both independence bits of each subset from its parent's by one
 row reduction and at most one union-find merge.  Lattice vertices of
@@ -26,6 +27,7 @@ from .signed_graph import (
     NEGATIVE,
     POSITIVE,
     CliqueGraph,
+    Edge,
     SignedGraph,
     _solve_transpose,
     clique_graph,
@@ -45,61 +47,35 @@ class NonIntegerFixationError(ValueError):
     """Fixation values must be integers."""
 
 
-@dataclass(frozen=True, order=True)
-class BishopHyperplane:
-    """Attack locus of pieces i < j: sign +1 is x_i - y_i = x_j - y_j
-    (northeast diagonals), sign -1 is x_i + y_i = x_j + y_j (northwest
-    diagonals).  Signed graphs label the same two families the other
-    way round, a positive edge sharing x + y; the two labelings meet in
-    :func:`subset_signed_graph` and the clique-graph solver's re-check."""
-
-    i: int
-    j: int
-    sign: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.i < self.j:
-            raise ValueError("need 1 <= i < j")
-        if self.sign not in (POSITIVE, NEGATIVE):
-            raise ValueError("sign must be +1 or -1")
-
-
-def move_arrangement(q: int) -> list[BishopHyperplane]:
-    """All 2 * C(q, 2) attack hyperplanes for q pieces."""
-    return [BishopHyperplane(i, j, sign)
-            for i, j in combinations(range(1, q + 1), 2)
-            for sign in (POSITIVE, NEGATIVE)]
+def move_arrangement(q: int) -> list[Edge]:
+    """All 2 * C(q, 2) attack hyperplanes for q pieces, as edges."""
+    # per pair, the x - y edge before the x + y one: vertex enumeration
+    # keeps the first defining set of each point, in this order
+    return [(i, j, sign) for i, j in combinations(range(1, q + 1), 2)
+            for sign in (NEGATIVE, POSITIVE)]
 
 
 def _attack_terms(i: int, j: int, sign: int) -> dict[int, int]:
-    """Coefficients, by coordinate offset, of the attack equation
-    x_i - sign * y_i - x_j + sign * y_j = 0 of hyperplane sign ``sign``."""
-    return {2 * i - 2: 1, 2 * i - 1: -sign, 2 * j - 2: -1, 2 * j - 1: sign}
+    """Coefficients, by coordinate offset, of the equation
+    x_i + sign * y_i - x_j - sign * y_j = 0 of edge (i, j, sign): a
+    positive edge shares x + y (northwest diagonals), a negative edge
+    x - y (northeast diagonals)."""
+    return {2 * i - 2: 1, 2 * i - 1: sign, 2 * j - 2: -1, 2 * j - 1: -sign}
 
 
-def _mirror_sign(sign: int) -> int:
-    """Hyperplane sign s is edge sign -s, and edge sign s hyperplane -s."""
-    return -sign
-
-
-def hyperplane_normal(h: BishopHyperplane, q: int) -> list[int]:
-    """Coefficient vector of the hyperplane equation over
+def hyperplane_normal(edge: Edge, q: int) -> list[int]:
+    """Coefficient vector of the edge's attack equation over
     (x_1, y_1, ..., x_q, y_q)."""
-    if h.j > q:
-        raise ValueError(f"piece index {h.j} out of range for q={q}")
-    terms = _attack_terms(h.i, h.j, h.sign)
+    i, j, sign = edge
+    if not 1 <= i < j <= q:
+        raise ValueError(f"need 1 <= i < j <= {q}, got ({i}, {j})")
+    if sign not in (POSITIVE, NEGATIVE):
+        raise ValueError("sign must be +1 or -1")
+    terms = _attack_terms(i, j, sign)
     return [terms.get(c, 0) for c in range(2 * q)]
 
 
-def subset_signed_graph(subset: Iterable[BishopHyperplane], q: int) -> SignedGraph:
-    """Signed graph on the q pieces with one edge per hyperplane of the
-    subset, hyperplane (i, j, s) becoming edge (i, j, -s) so that both
-    state the same equation (see :class:`BishopHyperplane`)."""
-    return SignedGraph(q, tuple((h.i, h.j, _mirror_sign(h.sign)) for h in subset))
-
-
-def independence_walk(q: int) -> Iterator[
-        tuple[tuple[BishopHyperplane, ...], bool, bool]]:
+def independence_walk(q: int) -> Iterator[tuple[tuple[Edge, ...], bool, bool]]:
     """Yield (subset, matrix independent, forests) once for each subset
     of the arrangement that is independent, or extends an independent
     one by one hyperplane of larger index, depth first in index order.
@@ -118,15 +94,15 @@ def independence_walk(q: int) -> Iterator[
     on which the routes disagree extends one on which they agree, so
     the walked subsets decide the rank identity on every subset.
     """
-    arrangement = move_arrangement(q)
-    # per hyperplane: its normal, and the two nodes its edge joins; the
-    # labels of both union-finds share one tuple, nodes 0..q-1 being the
-    # pieces in the positive class and q..2q-1 those in the negative
+    # per hyperplane: its normal, and the two nodes it joins; the labels
+    # of both union-finds share one tuple, nodes 0..q-1 being the pieces
+    # in the positive class and q..2q-1 those in the negative
     steps = []
-    for h in arrangement:
-        offset = 0 if h.sign == POSITIVE else q
-        steps.append((h, hyperplane_normal(h, q),
-                      offset + h.i - 1, offset + h.j - 1))
+    for edge in move_arrangement(q):
+        i, j, sign = edge
+        offset = 0 if sign == POSITIVE else q
+        steps.append((edge, hyperplane_normal(edge, q),
+                      offset + i - 1, offset + j - 1))
     # (subset, index of its last hyperplane, echelon basis, class label
     # of each node, matrix independence, forest independence); a
     # dependent subset is never expanded, so its basis goes unread
@@ -156,8 +132,7 @@ def matroid_check(q: int, *, bound: int = 4) -> bool:
         raise ValueError("q must be nonnegative")
     if q > bound:
         raise EnumerationBoundExceeded(
-            f"matroid check for q={q} needs 2^{q * (q - 1)} subsets; "
-            f"the bound is {bound}")
+            f"matroid check for q={q} is above the bound {bound}")
     return all(m == f for _, m, f in independence_walk(q))
 
 
@@ -194,7 +169,7 @@ class LatticeVertex:
     the unique solution of the recorded hyperplanes plus fixations."""
 
     point: tuple[Fraction, ...]
-    hyperplanes: tuple[BishopHyperplane, ...]
+    hyperplanes: tuple[Edge, ...]
     fixations: tuple[Fixation, ...]
 
 
@@ -303,19 +278,18 @@ def solve_via_clique_graph(graph: SignedGraph,
 
     Pieces joined by positive edges share x_i + y_i (the clique value
     a_k), pieces joined by negative edges share -x_i + y_i (the value
-    b_l): the signed-graph labeling, into which :func:`subset_signed_graph`
-    maps an arrangement subset.  Psi has one node per clique, the
-    positive ones 1..|pos| first, and one edge per fixation: fixing x_i
-    or y_i, where piece i has clique-graph edge (k, l), adds the edge
-    (k + 1, |pos| + l + 1), positive for x and negative for y, which is
-    the x or y copy of that edge in the doubled clique graph.  Psi must
+    b_l).  Psi has one node per clique, the positive ones 1..|pos|
+    first, and one edge per fixation: fixing x_i or y_i, where piece i
+    has clique-graph edge (k, l), adds the edge (k + 1, |pos| + l + 1),
+    positive for x and negative for y, which is the x or y copy of that
+    edge in the doubled clique graph.  Psi must
     be a spanning negative 1-forest, which is exactly what makes
     M = H(Psi) nonsingular.  The right-hand side 2(c; d) is even, so a
     and b come out integral, which is to say every coordinate
     x_i = (a_k - b_l)/2, y_i = (a_k + b_l)/2 is a weak half integer with
     matched parity inside each piece's pair.  That is re-checked on the
-    way out, as is every fixation and every edge, read as its mirror
-    hyperplane's attack equation in integers on 2 * point.
+    way out, as is every fixation and every edge's attack equation, in
+    integers on 2 * point.
     """
     clique = clique_graph(graph)
     for fixation in fixations:
@@ -341,7 +315,7 @@ def solve_via_clique_graph(graph: SignedGraph,
     twice = [c.numerator * (2 // c.denominator) for c in point]
     for i, j, sign in graph.edges:
         _require(sum(coefficient * twice[at] for at, coefficient
-                     in _attack_terms(i, j, _mirror_sign(sign)).items()) == 0,
+                     in _attack_terms(i, j, sign).items()) == 0,
                  f"the point is off the equation of edge ({i},{j},{sign:+d})")
     for fixation in fixations:
         _require(point[fixation.position()] == fixation.value,

@@ -18,7 +18,6 @@ from bishops import (
     hyperplane_normal,
     linalg,
     signed_cliques,
-    subset_signed_graph,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -169,10 +168,10 @@ def reference_irredundant_edges(graph: SignedGraph) -> tuple:
 
 def per_subset_ranks(subset, q: int) -> tuple[int, int]:
     """The two routes computed afresh for one subset: exact rank of the
-    stacked normals, and 2q minus the signed cliques of the mirror
-    signed graph."""
+    stacked normals, and 2q minus the signed cliques of the subset read
+    as a signed graph."""
     normals = [hyperplane_normal(h, q) for h in subset]
-    pos, neg = signed_cliques(subset_signed_graph(subset, q))
+    pos, neg = signed_cliques(SignedGraph(q, tuple(subset)))
     return linalg.rank(normals), 2 * q - len(pos) - len(neg)
 
 

@@ -10,7 +10,6 @@ import pytest
 from bishops import (
     NEGATIVE,
     POSITIVE,
-    BishopHyperplane,
     EnumerationBoundExceeded,
     Fixation,
     NonIntegerFixationError,
@@ -29,7 +28,6 @@ from bishops import (
     signed_graph,
     solve_incidence_transpose,
     solve_via_clique_graph,
-    subset_signed_graph,
     verify_half_integrality,
 )
 from bishops._testkit import random_clique_solve_instance, random_negative_one_forest
@@ -70,50 +68,37 @@ def direct_solve(graph, fixations):
 
 
 def test_hyperplane_validation():
+    for edge in ((2, 2, POSITIVE), (3, 2, POSITIVE), (1, 2, 2),
+                 (0, 1, NEGATIVE)):
+        with pytest.raises(ValueError):
+            hyperplane_normal(edge, 3)
+    # j > q
     with pytest.raises(ValueError):
-        BishopHyperplane(2, 2, POSITIVE)
-    with pytest.raises(ValueError):
-        BishopHyperplane(3, 2, POSITIVE)
-    with pytest.raises(ValueError):
-        BishopHyperplane(1, 2, 2)
+        hyperplane_normal((1, 3, NEGATIVE), 2)
 
 
 def test_move_arrangement_size_and_order():
     arrangement = move_arrangement(3)
     assert len(arrangement) == 6
-    assert arrangement[0] == BishopHyperplane(1, 2, POSITIVE)
-    assert arrangement[1] == BishopHyperplane(1, 2, NEGATIVE)
+    assert arrangement[0] == (1, 2, NEGATIVE)
+    assert arrangement[1] == (1, 2, POSITIVE)
     assert move_arrangement(1) == []
 
 
 def test_hyperplane_normals():
     # x1 - y1 - x2 + y2 = 0 and x1 + y1 - x2 - y2 = 0 over (x1,y1,x2,y2)
-    assert hyperplane_normal(BishopHyperplane(1, 2, POSITIVE), 2) == [1, -1, -1, 1]
-    assert hyperplane_normal(BishopHyperplane(1, 2, NEGATIVE), 2) == [1, 1, -1, -1]
-    assert hyperplane_normal(BishopHyperplane(1, 3, POSITIVE), 3) == [
-        1, -1, 0, 0, -1, 1]
-    with pytest.raises(ValueError):
-        hyperplane_normal(BishopHyperplane(1, 3, POSITIVE), 2)
-
-
-def test_subset_signed_graph():
-    # hyperplane +1 shares x - y, which a negative edge shares, so each
-    # hyperplane sign s becomes edge sign -s
-    subset = [BishopHyperplane(1, 2, POSITIVE), BishopHyperplane(2, 3, NEGATIVE)]
-    graph = subset_signed_graph(subset, 3)
-    assert graph == SignedGraph(3, ((1, 2, NEGATIVE), (2, 3, POSITIVE)))
+    assert hyperplane_normal((1, 2, NEGATIVE), 2) == [1, -1, -1, 1]
+    assert hyperplane_normal((1, 2, POSITIVE), 2) == [1, 1, -1, -1]
+    assert hyperplane_normal((1, 3, NEGATIVE), 3) == [1, -1, 0, 0, -1, 1]
 
 
 def test_codim_small_cases():
     assert per_subset_ranks([], 2) == (0, 0)
-    assert per_subset_ranks([BishopHyperplane(1, 2, POSITIVE)], 2) == (1, 1)
+    assert per_subset_ranks([(1, 2, NEGATIVE)], 2) == (1, 1)
+    assert per_subset_ranks([(1, 2, NEGATIVE), (1, 2, POSITIVE)], 2) == (2, 2)
+    # a negative triangle of edges is dependent: codim 2, not 3
     assert per_subset_ranks(
-        [BishopHyperplane(1, 2, POSITIVE), BishopHyperplane(1, 2, NEGATIVE)],
-        2) == (2, 2)
-    # a positive triangle of hyperplanes is dependent: codim 2, not 3
-    assert per_subset_ranks(
-        [BishopHyperplane(1, 2, POSITIVE), BishopHyperplane(2, 3, POSITIVE),
-         BishopHyperplane(1, 3, POSITIVE)], 3) == (2, 2)
+        [(1, 2, NEGATIVE), (2, 3, NEGATIVE), (1, 3, NEGATIVE)], 3) == (2, 2)
 
 
 def test_codim_of_full_arrangement():
@@ -124,7 +109,7 @@ def test_codim_of_full_arrangement():
 
 def test_dim_plus_codim_identity():
     # the subspace cut out by a subset has dimension 2q minus the rank of
-    # its normals, which is |A| + |B| of its mirror signed graph
+    # its normals, which is |A| + |B| of its signed graph
     for q in (2, 3):
         arrangement = move_arrangement(q)
         for size in range(len(arrangement) + 1):
@@ -138,7 +123,7 @@ def test_matroid_check():
     assert matroid_check(1)
     assert matroid_check(2)
     assert matroid_check(3)
-    with pytest.raises(EnumerationBoundExceeded):
+    with pytest.raises(EnumerationBoundExceeded, match="is above the bound 4"):
         matroid_check(5)
     with pytest.raises(ValueError):
         matroid_check(-1)
@@ -149,13 +134,13 @@ def test_matroid_check_reaches_five_pieces():
 
 
 def test_matroid_check_fails_when_a_route_is_corrupted(monkeypatch):
-    # the positive hyperplane of pieces 1, 2 gets the negative normal, so
-    # the pair {(1,2,+), (1,2,-)} has matrix rank 1 but forest rank 2
+    # the negative edge of pieces 1, 2 gets the positive normal, so the
+    # pair {(1,2,-), (1,2,+)} has matrix rank 1 but forest rank 2
     honest = geometry.hyperplane_normal
 
     def swapped(h, q):
-        if (h.i, h.j) == (1, 2):
-            return honest(BishopHyperplane(1, 2, NEGATIVE), q)
+        if h[:2] == (1, 2):
+            return honest((1, 2, POSITIVE), q)
         return honest(h, q)
 
     monkeypatch.setattr(geometry, "hyperplane_normal", swapped)
@@ -260,7 +245,7 @@ def test_vertices_three_pieces():
 
 def solved_back(vertex, q):
     """The vertex's own defining set solved through the clique graph."""
-    graph = subset_signed_graph(vertex.hyperplanes, q)
+    graph = SignedGraph(q, vertex.hyperplanes)
     return solve_via_clique_graph(graph, vertex.fixations).point
 
 
@@ -278,9 +263,9 @@ def test_vertices_four_pieces():
 
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_vertices_solve_back_through_the_clique_graph(q):
-    # the two labelings meet in subset_signed_graph: a vertex's
-    # hyperplanes and fixations pin the same point on either route,
-    # strictly half-integral vertices included
+    # a vertex's hyperplanes, read as a signed graph, and its fixations
+    # pin the same point on either route, strictly half-integral
+    # vertices included
     for vertex in enumerate_lattice_vertices(q):
         assert solved_back(vertex, q) == vertex.point
 
@@ -457,9 +442,9 @@ def test_solve_incidence_transpose_validation():
     ("shift", "fixation .* violated"),
     # a clique value off by a half breaks the paired denominators
     ("half", "both strict halves"),
-    # reading an edge with its own sign as a hyperplane sign mixes up
-    # the two diagonal families
-    ("copy-sign", "off the equation of edge"),
+    # reading an edge's equation with the other sign mixes up the two
+    # diagonal families
+    ("flip-sign", "off the equation of edge"),
 ])
 def test_clique_solve_rechecks_catch_a_corrupted_solve(
         monkeypatch, corrupt, message):
@@ -470,8 +455,10 @@ def test_clique_solve_rechecks_catch_a_corrupted_solve(
         values[0] += 1 if corrupt == "shift" else F(1, 2)
         return values
 
-    if corrupt == "copy-sign":
-        monkeypatch.setattr(geometry, "_mirror_sign", lambda sign: sign)
+    if corrupt == "flip-sign":
+        honest_terms = geometry._attack_terms
+        monkeypatch.setattr(geometry, "_attack_terms",
+                            lambda i, j, sign: honest_terms(i, j, -sign))
     else:
         monkeypatch.setattr(geometry, "_solve_transpose", shifted)
     graph = example_clique_fixture()

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from bishops import geometry
 from bishops.cli import main
 from bishops.signed_graph import parse_graph
 
@@ -39,7 +40,7 @@ def test_check_vertices_accepts_vertices_json(oracle, capsys, q, count, lcm):
     assert oracle.check_vertices(text, q, count, lcm) is None
 
 
-def test_check_vertices_reads_the_hyperplane_sign(oracle, capsys):
+def test_check_vertices_reads_the_hyperplane_sign(oracle, capsys, monkeypatch):
     # relabelling a hyperplane of this vertex names the other diagonal
     # family of its two pieces, which the vertex is not on
     payload = json.loads(run(capsys, "vertices", "-q", "3", "--format", "json"))
@@ -48,6 +49,14 @@ def test_check_vertices_reads_the_hyperplane_sign(oracle, capsys):
     flipped = vertex["hyperplanes"][0]
     flipped["sign"] = "-" if flipped["sign"] == "+" else "+"
     problem = oracle.check_vertices(json.dumps(payload), 3, 88, 2)
+    assert problem is not None and "off its hyperplane" in problem
+    # an edge equation read with the other sign moves every normal to
+    # the other diagonal family, which the renderer's label still names
+    honest = geometry._attack_terms
+    monkeypatch.setattr(geometry, "_attack_terms",
+                        lambda i, j, sign: honest(i, j, -sign))
+    text = run(capsys, "vertices", "-q", "3", "--format", "json")
+    problem = oracle.check_vertices(text, 3, 88, 2)
     assert problem is not None and "off its hyperplane" in problem
 
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bishops import (
+    BISHOP,
     InconsistentSamplesError,
     InsufficientSamplesError,
     Quasipolynomial,
@@ -15,6 +16,7 @@ from bishops import (
     interpolate,
     interpolate_bishops,
     linalg,
+    sample_counts,
 )
 
 from helpers import reciprocity_sum, reference_solve
@@ -378,12 +380,31 @@ def test_interpolate_bishops_validation():
         interpolate_bishops(3, period=0)
 
 
-@pytest.mark.parametrize("q", [1, 2, 3, 4])
+@pytest.mark.parametrize("q", range(1, 17))
 def test_interpolate_bishops_reproduces_counts(q):
+    # the fit reads n = 1..4q; every size up to 200 is checked
     quasi = interpolate_bishops(q)
     assert quasi.coefficient(0, 0) == F(1, factorial(q))
-    for n in range(1, 4 * q + 5):
-        assert quasi.evaluate(n) == count_bishops_fast(q, n), (q, n)
+    counts = sample_counts(BISHOP, q, 0, 200).entries
+    for n in range(201):
+        assert quasi.evaluate(n) == counts[n], (q, n)
+
+
+def test_fit_equals_the_count_at_a_huge_board():
+    assert interpolate_bishops(4).evaluate(10**5) == count_bishops_fast(4, 10**5)
+
+
+def test_a_wrong_period_is_caught_off_its_samples():
+    # the period 1 fit of q = 3 is a polynomial through the counts at
+    # n = 1..6, which the period-2 counts leave on either side
+    wrong = interpolate_bishops(3, period=1)
+    counts = sample_counts(BISHOP, 3, 0, 200).entries
+    misses = [n for n in range(201) if wrong.evaluate(n) != counts[n]]
+    assert len(misses) == 195 and misses[:3] == [0, 7, 8]
+    # two bishops' counts are a polynomial, so period 1 is right there
+    right = interpolate_bishops(2, period=1)
+    counts = sample_counts(BISHOP, 2, 0, 200).entries
+    assert all(right.evaluate(n) == counts[n] for n in range(201))
 
 
 @pytest.mark.parametrize("q", [64, 128])
