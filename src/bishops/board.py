@@ -54,7 +54,12 @@ BISHOP = Rider("bishop", frozenset({BasicMove(1, 1), BasicMove(1, -1)}))
 
 
 def parse_rider(description: str) -> Rider:
-    """Build a rider from a name ("bishop") or a move list "dx,dy;dx,dy"."""
+    """Build a rider from a name ("bishop") or a move list "dx,dy;dx,dy".
+
+    Each move must be primitive, gcd(dx, dy) = 1: a (2, 2)-rider attacks
+    only every other square of a diagonal, which no :class:`BasicMove`
+    can state.
+    """
     text = description.strip()
     if text.lower() == "bishop":
         return BISHOP
@@ -64,7 +69,11 @@ def parse_rider(description: str) -> Rider:
         if len(fields) != 2:
             raise ValueError(f"bad move {part.strip()!r}: expected 'dx,dy'")
         try:
-            moves.append(BasicMove(int(fields[0]), int(fields[1])))
+            dx, dy = int(fields[0]), int(fields[1])
+            if gcd(dx, dy) > 1:
+                raise ValueError("a basic move must be primitive, "
+                                 "with gcd(dx, dy) = 1")
+            moves.append(BasicMove(dx, dy))
         except ValueError as exc:
             raise ValueError(f"bad move {part.strip()!r}: {exc}") from None
     return Rider(text, frozenset(moves))

@@ -5,7 +5,7 @@ for any rider but only at desk scale, and a fast bishop-specific dynamic
 program that reaches the board sizes interpolation needs.  The two are
 cross-validated against each other in the test suite.  A bishop count
 table grows one odd/even pair of rook profiles, so each board size
-costs two O(q) column steps and one convolution.  All
+costs one O(q) column step on each profile and one convolution.  All
 arithmetic is arbitrary-precision integer; nothing here floats.
 
 Every count by rider and method goes through :func:`sample_counts`,
@@ -99,13 +99,14 @@ def _bishop_counts(q: int, n_from: int, n_to: int) -> dict[int, int]:
 
     Rotating the board 45 degrees splits it into two independent rook
     boards, one per parity class of diagonals, with column lengths
-    n, n-2, n-2, ... (main) and n-1, n-1, n-3, n-3, ... (other).  Two
-    rook profiles serve every n, odd (columns 1, 1, 3, 3, ...) and even
-    (2, 2, 4, 4, ...): each n adds two columns n - 1 to the profile of
-    their parity by :func:`_add_column`, in O(q) each, and that profile
-    is other; main is the profile left plus a column n, folded into the
-    one convolution per n.  No board up to n_to holds more than n_to
-    rooks, so profiles stop at min(q, n_to); q > 2 * n_to gives 0.
+    n, n-2, n-2, ... (main) and n-1, n-1, n-3, n-3, ... (other), and
+    u(q; n) convolves their rook counts.  Two profiles, odd (columns 1,
+    1, 3, 3, ...) and even (2, 2, 4, 4, ...), each grow by one column
+    per n through :func:`_add_column`: a column n - 1 completes other,
+    then a column n makes the profile of parity n main as it stands,
+    its second column n coming at n + 1.  No board up to n_to holds
+    more than n_to rooks, so profiles stop at min(q, n_to); q > 2 * n_to
+    gives 0.
     """
     if q < 0 or n_from < 0:
         raise ValueError("q and n must be nonnegative")
@@ -113,14 +114,12 @@ def _bishop_counts(q: int, n_from: int, n_to: int) -> dict[int, int]:
     profiles = ([1] + [0] * most, [1] + [0] * most)  # even, odd
     counts = {}
     for n in range(n_to + 1):
-        other, base = profiles[(n - 1) % 2], profiles[n % 2]
+        other, main = profiles[(n - 1) % 2], profiles[n % 2]
         _add_column(other, n - 1)
-        _add_column(other, n - 1)
+        _add_column(main, n)
         if n >= n_from:
-            # main[j], base plus column n; n - j + 1 < 1 meets base[j-1] = 0
-            counts[n] = sum(
-                (base[j] + (n - j + 1) * base[j - 1] if j else base[0])
-                * other[q - j] for j in range(max(q - most, 0), most + 1))
+            counts[n] = sum(main[j] * other[q - j]
+                            for j in range(max(q - most, 0), most + 1))
     return counts
 
 

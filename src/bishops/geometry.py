@@ -29,6 +29,7 @@ from .signed_graph import (
     CliqueGraph,
     Edge,
     SignedGraph,
+    _require_sign,
     _solve_transpose,
     clique_graph,
 )
@@ -69,8 +70,7 @@ def hyperplane_normal(edge: Edge, q: int) -> list[int]:
     i, j, sign = edge
     if not 1 <= i < j <= q:
         raise ValueError(f"need 1 <= i < j <= {q}, got ({i}, {j})")
-    if sign not in (POSITIVE, NEGATIVE):
-        raise ValueError("sign must be +1 or -1")
+    _require_sign(sign)
     terms = _attack_terms(i, j, sign)
     return [terms.get(c, 0) for c in range(2 * q)]
 

@@ -1,18 +1,19 @@
 """Exact linear algebra over the rationals by integer elimination.
 
-Geometry and signed graphs call :func:`rank`, :func:`solve_integral`
-and :func:`reduce_row`; these and :func:`det`, :func:`invert` and
-:func:`solve`, kept as API, run on one fraction-free Gauss-Jordan kernel
-(Bareiss 1968) on integer rows; interpolation has its own Newton kernel
-in :mod:`bishops.quasipoly`.  Matrices are lists of rows of ints or
-:class:`fractions.Fraction`; a row with rational entries is first
-multiplied by the lcm of its denominators, so elimination never leaves
-the integers, and a ``Fraction`` is built only for a result;
-:func:`solve_integral` returns A^-1 B as integer numerators over one
-positive denominator, which vertex enumeration uses as they are and
-:func:`invert` divides out.  The first nonzero pivot in each column is
-taken, so results are deterministic and bit-identical between runs.
-No floating point.
+Geometry calls :func:`reduce_row` and :func:`solve_integral`, signed
+graphs call :func:`solve_integral`, and only the cross-checks of
+:mod:`bishops._testkit` call :func:`rank`; these and :func:`det`,
+:func:`invert` and :func:`solve`, kept as API, run on one fraction-free
+Gauss-Jordan kernel (Bareiss 1968) on integer rows; interpolation has
+its own Newton kernel in :mod:`bishops.quasipoly`.  Matrices are lists
+of rows of ints or :class:`fractions.Fraction`; a row with rational
+entries is first multiplied by the lcm of its denominators, so
+elimination never leaves the integers, and a ``Fraction`` is built
+only for a result; :func:`solve_integral` returns A^-1 B as integer
+numerators over one positive denominator, which vertex enumeration
+uses as they are and :func:`invert` divides out.  The first nonzero
+pivot in each column is taken, so results are deterministic and
+bit-identical between runs.  No floating point.
 
 :func:`reduce_row` is the one incremental companion to that kernel: it
 grows an echelon basis one integer row at a time, so a caller that

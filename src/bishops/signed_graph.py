@@ -27,6 +27,13 @@ _SIGN_TOKENS = {"+": POSITIVE, "-": NEGATIVE}
 _SIGN_NAMES = {POSITIVE: "+", NEGATIVE: "-"}
 
 
+def _require_sign(sign: object) -> None:
+    """Refuse an edge sign other than the int +1 or -1: a float or a
+    bool compares equal to one but would carry into exact arithmetic."""
+    if type(sign) is not int or sign not in (POSITIVE, NEGATIVE):
+        raise ValueError(f"edge sign must be the int +1 or -1, got {sign!r}")
+
+
 @dataclass(frozen=True)
 class SignedGraph:
     """Multigraph on q nodes with edges (i, j, sign), sign being +1 or -1.
@@ -46,8 +53,7 @@ class SignedGraph:
                 raise ValueError(f"loop at node {i} is not allowed")
             if not (1 <= i <= self.q and 1 <= j <= self.q):
                 raise ValueError(f"edge ({i},{j}) is outside 1..{self.q}")
-            if sign not in (POSITIVE, NEGATIVE):
-                raise ValueError(f"edge sign must be +1 or -1, got {sign!r}")
+            _require_sign(sign)
             normalized.append((i, j, sign) if i < j else (j, i, sign))
         object.__setattr__(self, "edges", tuple(normalized))
 

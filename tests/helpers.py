@@ -95,6 +95,31 @@ def reference_solve(rows, rhs) -> tuple[int, str, list[Fraction] | None]:
     return len(pivots), linalg.UNIQUE, [row[n_cols] for row in m[:n_cols]]
 
 
+def rider_arrangement(moves: str, q: int) -> list[list[int]]:
+    """Normals over (x_1, y_1, ..., x_q, y_q) of the move arrangement of
+    the rider with move list "c,d;c,d": per pair i < j and move (c, d),
+    the hyperplane d (x_j - x_i) - c (y_j - y_i) = 0.  Uses no code of
+    ``bishops.geometry``."""
+    normals = []
+    for i, j in combinations(range(q), 2):
+        for move in moves.split(";"):
+            c, d = map(int, move.split(","))
+            normal = [0] * (2 * q)
+            normal[2 * i], normal[2 * i + 1] = -d, c
+            normal[2 * j], normal[2 * j + 1] = d, -c
+            normals.append(normal)
+    return normals
+
+
+def region_count(normals) -> int:
+    """Regions of a central arrangement by Zaslavsky's formula, the sum
+    over subsets S of (-1)^(|S| - rank S), each rank afresh by
+    :func:`reference_solve`."""
+    return sum((-1) ** (size - reference_solve(subset, [0] * size)[0])
+               for size in range(len(normals) + 1)
+               for subset in combinations(normals, size))
+
+
 def reference_det(rows) -> Fraction:
     """Determinant of a square matrix by plain Fraction elimination with
     row swaps."""

@@ -37,6 +37,8 @@ def test_parse_rider():
         parse_rider("")
     with pytest.raises(ValueError):
         parse_rider("1,1;0,0")
+    with pytest.raises(ValueError, match="primitive"):
+        parse_rider("1,0;2,4")
 
 
 def test_rider_requires_moves():
@@ -63,10 +65,20 @@ def test_attacks_is_symmetric_for_rook_moves():
     assert not attacks(Square(1, 1), Square(2, 2), rook)
 
 
-@pytest.mark.parametrize("moves", [*CENSUS_RIDERS.values(),
-                                   "2,4;3,-1", "0,5"])
-def test_line_masks_match_the_pairwise_relation(moves):
-    rider = parse_rider(moves)
+def _from_moves(name: str, *moves: tuple[int, int]):
+    """A rider whose moves ``parse_rider`` refuses as non-primitive,
+    built straight from the reducing :class:`BasicMove`."""
+    rider = Rider(name, frozenset(BasicMove(*move) for move in moves))
+    return pytest.param(rider, id=name)
+
+
+@pytest.mark.parametrize("rider", [
+    *(pytest.param(parse_rider(moves), id=moves)
+      for moves in CENSUS_RIDERS.values()),
+    _from_moves("2,4;3,-1", (2, 4), (3, -1)),
+    _from_moves("0,5", (0, 5)),
+])
+def test_line_masks_match_the_pairwise_relation(rider):
     for n in range(10):
         board = [Square(x, y) for y in range(1, n + 1)
                  for x in range(1, n + 1)]

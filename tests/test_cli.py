@@ -117,6 +117,16 @@ def test_count_other_rider(capsys):
     assert out.strip() == "18"
 
 
+def test_count_refuses_non_primitive_moves(capsys):
+    # a (2,2)-rider skips every other diagonal square, so the bishop's
+    # fast counter would answer for the wrong piece
+    code, out, err = run(capsys, "count", "--piece", "2,2;2,-2",
+                         "-q", "2", "-n", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad move '2,2': ")
+    assert err.count("\n") == 1
+
+
 def test_count_requires_exactly_one_board_size(capsys):
     code, _, err = run(capsys, "count", "-q", "2")
     assert code == 2

@@ -6,6 +6,8 @@ from math import factorial
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bishops import (
     NEGATIVE,
@@ -68,8 +70,9 @@ def direct_solve(graph, fixations):
 
 
 def test_hyperplane_validation():
+    # a float or bool sign equals +-1 but is not an exact int sign
     for edge in ((2, 2, POSITIVE), (3, 2, POSITIVE), (1, 2, 2),
-                 (0, 1, NEGATIVE)):
+                 (0, 1, NEGATIVE), (1, 2, 1.0), (1, 2, -1.0), (1, 2, True)):
         with pytest.raises(ValueError):
             hyperplane_normal(edge, 3)
     # j > q
@@ -479,15 +482,23 @@ def test_negative_one_forest_determinant_counts_components():
         assert abs(det) == 2 ** len(signed_graph.components(forest))
 
 
-def test_solve_incidence_transpose_half_integrality():
-    rng = Random(11)
-    for _ in range(60):
-        forest = random_negative_one_forest(rng)
-        rhs = [rng.randint(-9, 9) for _ in range(forest.q)]
-        solution = solve_incidence_transpose(forest, rhs)
-        assert all(value.denominator in (1, 2) for value in solution)
-        doubled = solve_incidence_transpose(forest, [2 * v for v in rhs])
-        assert all(value.denominator == 1 for value in doubled)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.data())
+def test_solve_incidence_transpose_half_integrality(seed, data):
+    # Zaslavsky, "Signed graphs" (1982): a negative 1-forest's incidence
+    # matrix has |det H| = 2^c, so H^T w = b solves in half-integers for
+    # every integral b, and in integers for 2b
+    forest = random_negative_one_forest(Random(seed))
+    rhs = data.draw(st.lists(st.integers(-50, 50),
+                             min_size=forest.q, max_size=forest.q))
+    solution = solve_incidence_transpose(forest, rhs)
+    transposed = [list(column) for column
+                  in zip(*signed_graph.incidence_matrix(forest))]
+    assert reference_solve(transposed, rhs) == (
+        forest.q, linalg.UNIQUE, solution)
+    assert all(2 % value.denominator == 0 for value in solution)
+    doubled = solve_incidence_transpose(forest, [2 * v for v in rhs])
+    assert all(value.denominator == 1 for value in doubled)
 
 
 NEGATIVE_DIGON = SignedGraph(2, ((1, 2, POSITIVE), (1, 2, NEGATIVE)))

@@ -52,8 +52,9 @@ def test_construction_validation():
         SignedGraph(2, ((1, 1, POSITIVE),))
     with pytest.raises(ValueError):
         SignedGraph(2, ((1, 3, POSITIVE),))
-    with pytest.raises(ValueError):
-        SignedGraph(2, ((1, 2, 0),))
+    for sign in (0, 1.0, -1.0, True):
+        with pytest.raises(ValueError):
+            SignedGraph(2, ((1, 2, sign),))
     graph = SignedGraph(3, ((3, 1, NEGATIVE), (2, 1, POSITIVE)))
     assert graph.edges == ((1, 3, NEGATIVE), (1, 2, POSITIVE))
 
