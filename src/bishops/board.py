@@ -13,10 +13,12 @@ from math import gcd
 
 @dataclass(frozen=True, order=True)
 class BasicMove:
-    """A primitive move direction.
+    """A primitive move direction, gcd(dx, dy) = 1: a (2, 2)-rider
+    attacks only every other square of a diagonal, which no basic move
+    can state, so a non-primitive move is refused.
 
     Negating a move does not change the attack relation, so moves are
-    stored reduced by gcd with dx > 0, or dx = 0 and dy > 0.
+    stored with dx > 0, or dx = 0 and dy > 0.
     """
 
     dx: int
@@ -25,12 +27,12 @@ class BasicMove:
     def __post_init__(self) -> None:
         if (self.dx, self.dy) == (0, 0):
             raise ValueError("a basic move must be nonzero")
-        g = gcd(self.dx, self.dy)
-        dx, dy = self.dx // g, self.dy // g
-        if dx < 0 or (dx == 0 and dy < 0):
-            dx, dy = -dx, -dy
-        object.__setattr__(self, "dx", dx)
-        object.__setattr__(self, "dy", dy)
+        if gcd(self.dx, self.dy) > 1:
+            raise ValueError("a basic move must be primitive, "
+                             "with gcd(dx, dy) = 1")
+        if self.dx < 0 or (self.dx == 0 and self.dy < 0):
+            object.__setattr__(self, "dx", -self.dx)
+            object.__setattr__(self, "dy", -self.dy)
 
 
 @dataclass(frozen=True)
@@ -54,12 +56,8 @@ BISHOP = Rider("bishop", frozenset({BasicMove(1, 1), BasicMove(1, -1)}))
 
 
 def parse_rider(description: str) -> Rider:
-    """Build a rider from a name ("bishop") or a move list "dx,dy;dx,dy".
-
-    Each move must be primitive, gcd(dx, dy) = 1: a (2, 2)-rider attacks
-    only every other square of a diagonal, which no :class:`BasicMove`
-    can state.
-    """
+    """Build a rider from a name ("bishop") or a move list "dx,dy;dx,dy"
+    of primitive moves (see :class:`BasicMove`)."""
     text = description.strip()
     if text.lower() == "bishop":
         return BISHOP
@@ -69,11 +67,7 @@ def parse_rider(description: str) -> Rider:
         if len(fields) != 2:
             raise ValueError(f"bad move {part.strip()!r}: expected 'dx,dy'")
         try:
-            dx, dy = int(fields[0]), int(fields[1])
-            if gcd(dx, dy) > 1:
-                raise ValueError("a basic move must be primitive, "
-                                 "with gcd(dx, dy) = 1")
-            moves.append(BasicMove(dx, dy))
+            moves.append(BasicMove(int(fields[0]), int(fields[1])))
         except ValueError as exc:
             raise ValueError(f"bad move {part.strip()!r}: {exc}") from None
     return Rider(text, frozenset(moves))

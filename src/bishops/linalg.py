@@ -1,25 +1,28 @@
 """Exact linear algebra over the rationals by integer elimination.
 
-Geometry calls :func:`reduce_row` and :func:`solve_integral`, signed
-graphs call :func:`solve_integral`, and only the cross-checks of
-:mod:`bishops._testkit` call :func:`rank`; these and :func:`det`,
-:func:`invert` and :func:`solve`, kept as API, run on one fraction-free
-Gauss-Jordan kernel (Bareiss 1968) on integer rows; interpolation has
-its own Newton kernel in :mod:`bishops.quasipoly`.  Matrices are lists
-of rows of ints or :class:`fractions.Fraction`; a row with rational
-entries is first multiplied by the lcm of its denominators, so
-elimination never leaves the integers, and a ``Fraction`` is built
-only for a result; :func:`solve_integral` returns A^-1 B as integer
-numerators over one positive denominator, which vertex enumeration
-uses as they are and :func:`invert` divides out.  The first nonzero
-pivot in each column is taken, so results are deterministic and
-bit-identical between runs.  No floating point.
+One sparse fraction-free row reduction, :func:`reduce_row`, grows an
+echelon basis one integer row at a time: it skips each basis row at
+whose pivot the new row is already zero, and divides the result by its
+content.  Everything the package eliminates runs on it.  The
+depth-first matroid walk of :mod:`bishops.geometry` calls it directly
+and reads off every prefix's rank without eliminating the stack again;
+:func:`rank` (called only by the cross-checks of
+:mod:`bishops._testkit`) folds a matrix through it; and
+:func:`solve_integral`, behind vertex enumeration and the
+negative-1-forest solve of :mod:`bishops.signed_graph`, reduces the
+augmented rows through it and clears each pivot column above its pivot,
+returning A^-1 B as integer numerators over one positive denominator,
+the lcm of the pivots.  :func:`invert` divides that out.  :func:`det`
+and :func:`solve` have no caller in the package; they are kept as API
+on the older Gauss-Jordan kernel of Bareiss (1968), :func:`_eliminate`.
+Interpolation has its own Newton kernel in :mod:`bishops.quasipoly`.
 
-:func:`reduce_row` is the one incremental companion to that kernel: it
-grows an echelon basis one integer row at a time, so a caller that
-stacks rows one by one, like the depth-first matroid walk of
-:mod:`bishops.geometry`, reads off every prefix's rank without
-eliminating the whole stack again.
+Matrices are lists of rows of ints or :class:`fractions.Fraction`; a
+row with rational entries is first multiplied by the lcm of its
+denominators, so elimination never leaves the integers, and a
+``Fraction`` is built only for a result.  Rows are taken in order and
+each pivot is its row's first nonzero column, so results are
+deterministic and bit-identical between runs.  No floating point.
 """
 
 from __future__ import annotations
@@ -40,10 +43,15 @@ UNDERDETERMINED = "underdetermined"
 
 def _scale(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
     """Integer copy of ``rows``, each row multiplied by the lcm of its
-    denominators, and the product of those multipliers."""
+    denominators, and the product of those multipliers; a row of plain
+    ints is copied as it stands."""
     out = []
     product = 1
     for row in rows:
+        # a Fraction anywhere in the row makes its sum a Fraction
+        if type(sum(row)) is int:
+            out.append(list(row))
+            continue
         scale = lcm(*{entry.denominator for entry in row})
         out.append([entry.numerator * (scale // entry.denominator)
                     for entry in row])
@@ -118,10 +126,15 @@ def reduce_row(basis: Sequence[tuple[int, Sequence[int]]],
 
 
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Rank over the rationals."""
+    """Rank over the rationals: the size of the basis that
+    :func:`reduce_row` grows from the rows."""
     m, _ = _scale(rows)
-    pivots, _ = _eliminate(m, len(m[0]) if m else 0)
-    return len(pivots)
+    basis: list[tuple[int, Sequence[int]]] = []
+    for row in m:
+        reduced = reduce_row(basis, row)
+        if reduced is not None:
+            basis.append(reduced)
+    return len(basis)
 
 
 def det(rows: Sequence[Sequence[Scalar]]) -> Fraction:
@@ -142,21 +155,45 @@ def solve_integral(rows: Sequence[Sequence[Scalar]],
     """Integer form of A^-1 B for a square A = ``rows`` and the columns
     B given as ``rhs``, one row per equation: a positive common
     denominator D and the integer matrix X with A X = D B, or None when
-    A is singular."""
+    A is singular.
+
+    The augmented rows [A | B] go through :func:`reduce_row` one by one;
+    A is singular exactly when a row vanishes or its pivot falls among
+    the right-hand columns.  Otherwise each pivot column is then cleared
+    above its pivot, last pivot first, which leaves row k as p_k x_c = b_k
+    for its pivot column c; D is the lcm of the pivots p_k.
+    """
     size = len(rows)
     if len(rhs) != size:
         raise ValueError("need one right-hand side row per equation")
     m, _ = _scale([[*row, *b] for row, b in zip(rows, rhs)])
     if any(len(row) != size for row in rows):
         raise ValueError("inversion requires a square matrix")
-    pivots, _ = _eliminate(m, size)
-    if len(pivots) != size:
-        return None
-    # every diagonal entry is now the last pivot, unsigned by row swaps
-    d = m[0][0] if m else 1
-    if d < 0:
-        return -d, [[-entry for entry in row[size:]] for row in m]
-    return d, [row[size:] for row in m]
+    basis: list[tuple[int, Sequence[int]]] = []
+    for row in m:
+        reduced = reduce_row(basis, row)
+        if reduced is None or reduced[0] >= size:
+            return None
+        basis.append(reduced)
+    # each row is zero in the pivot columns of the rows before it
+    for k in range(size - 1, 0, -1):
+        col, b = basis[k]
+        p = b[col]
+        for j in range(k):
+            pivot, a = basis[j]
+            f = a[col]
+            if f:
+                a = [p * x - f * y for x, y in zip(a, b)]
+                content = gcd(*a)
+                if content > 1:
+                    a = [x // content for x in a]
+                basis[j] = pivot, a
+    d = lcm(*(b[col] for col, b in basis))
+    numerators: list[list[int]] = [[]] * size
+    for col, b in basis:
+        scale = d // b[col]
+        numerators[col] = [scale * entry for entry in b[size:]]
+    return d, numerators
 
 
 def invert(rows: Sequence[Sequence[Scalar]]) -> Matrix | None:

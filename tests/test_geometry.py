@@ -507,13 +507,13 @@ POSITIVE_DIGON = SignedGraph(2, ((1, 2, POSITIVE), (1, 2, POSITIVE)))
 
 def test_each_solve_eliminates_once(monkeypatch):
     calls = []
-    original = linalg._eliminate
+    original = linalg.solve_integral
 
-    def counted(m, columns):
-        calls.append(columns)
-        return original(m, columns)
+    def counted(rows, rhs):
+        calls.append(len(rows))
+        return original(rows, rhs)
 
-    monkeypatch.setattr(linalg, "_eliminate", counted)
+    monkeypatch.setattr(linalg, "solve_integral", counted)
     solve_incidence_transpose(NEGATIVE_DIGON, [0, 1])
     assert len(calls) == 1
     fixations = [Fixation(axis, index, 0)

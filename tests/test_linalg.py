@@ -10,6 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bishops import linalg
+from bishops.signed_graph import (
+    NEGATIVE,
+    POSITIVE,
+    SignedGraph,
+    incidence_matrix,
+)
 
 from helpers import reference_solve
 
@@ -257,3 +263,66 @@ def test_solve_integral_rejects_bad_shapes():
         linalg.solve_integral([[1]], [])
     with pytest.raises(ValueError, match="square"):
         linalg.invert([[1, 2, 3], [4, 5, 6]])
+
+
+@st.composite
+def incidence_transposes(draw):
+    """H^T of a random signed graph with as many edges as nodes, 2 to 7,
+    and one or two integer right-hand columns: square, sparse, and
+    singular whenever some component is balanced."""
+    q = draw(st.integers(min_value=2, max_value=7))
+    edges = []
+    for _ in range(q):
+        i = draw(st.integers(min_value=1, max_value=q))
+        offset = draw(st.integers(min_value=1, max_value=q - 1))
+        sign = draw(st.sampled_from((POSITIVE, NEGATIVE)))
+        edges.append((i, (i - 1 + offset) % q + 1, sign))
+    graph = SignedGraph(q, tuple(edges))
+    rows = [list(column) for column in zip(*incidence_matrix(graph))]
+    width = draw(st.integers(min_value=1, max_value=2))
+    rhs = draw(st.lists(st.lists(small_int, min_size=width, max_size=width),
+                        min_size=q, max_size=q))
+    return rows, rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(incidence_transposes())
+# a repeated negative edge: the second row's pivot lands in the rhs
+@example(([[1, 1], [1, 1]], [[0], [1]]))
+# a dependent row that is not last: the second row vanishes outright
+@example(([[1, 1, 0], [1, 1, 0], [0, 1, 1]], [[1], [1], [2]]))
+# a dependent first row: the positive triangle, edge (1, 3) first
+@example(([[1, 0, -1], [1, -1, 0], [0, 1, -1]], [[1], [2], [3]]))
+# the second row reduces to the pivot -2, which then clears the first
+@example(([[1, 1], [1, -1]], [[1, 0], [0, 1]]))
+def test_solve_integral_on_incidence_transposes(system):
+    rows, rhs = system
+    size = len(rows)
+    solved = linalg.solve_integral(rows, rhs)
+    references = [reference_solve(rows, [b[c] for b in rhs])
+                  for c in range(len(rhs[0]))]
+    if references[0][0] < size:
+        assert solved is None
+        return
+    d, numerators = solved
+    assert type(d) is int and d > 0
+    for c, (_, status, point) in enumerate(references):
+        assert status == linalg.UNIQUE
+        assert [Fraction(row[c], d) for row in numerators] == point
+
+
+def test_ragged_rows_are_refused():
+    with pytest.raises(ValueError, match="same length"):
+        linalg.rank([[1, 2], [3]])
+    with pytest.raises(ValueError, match="same length"):
+        linalg.solve_integral([[1, 0], [0]], [[1], [1]])
+    with pytest.raises(ValueError, match="same length"):
+        linalg.solve_integral([[1, 0], [0, 1]], [[1], [1, 2]])
+
+
+def test_ints_mix_with_whole_fractions():
+    assert linalg.rank([[1, Fraction(2, 1)], [Fraction(2, 1), 4]]) == 1
+    assert linalg.rank([[1, Fraction(2, 1)], [Fraction(3, 1), 4]]) == 2
+    d, numerators = linalg.solve_integral(
+        [[2, Fraction(1, 1)], [Fraction(1, 1), 1]], [[Fraction(3, 1)], [2]])
+    assert [Fraction(row[0], d) for row in numerators] == [1, 1]
