@@ -3,19 +3,20 @@
 One sparse fraction-free row reduction, :func:`reduce_row`, grows an
 echelon basis one integer row at a time: it skips each basis row at
 whose pivot the new row is already zero, and divides the result by its
-content.  Everything the package eliminates runs on it.  The
-depth-first matroid walk of :mod:`bishops.geometry` calls it directly
-and reads off every prefix's rank without eliminating the stack again;
-:func:`rank` (called only by the cross-checks of
-:mod:`bishops._testkit`) folds a matrix through it; and
+content.  Every entry point here is a fold of it.  The matroid walk of
+:mod:`bishops.geometry` calls it directly; :func:`rank` (called only by
+the cross-checks of :mod:`bishops._testkit`) is the size of the basis;
 :func:`solve_integral`, behind vertex enumeration and the
 negative-1-forest solve of :mod:`bishops.signed_graph`, reduces the
-augmented rows through it and clears each pivot column above its pivot,
-returning A^-1 B as integer numerators over one positive denominator,
-the lcm of the pivots.  :func:`invert` divides that out.  :func:`det`
-and :func:`solve` have no caller in the package; they are kept as API
-on the older Gauss-Jordan kernel of Bareiss (1968), :func:`_eliminate`.
-Interpolation has its own Newton kernel in :mod:`bishops.quasipoly`.
+augmented rows and then each row against the rows below it, returning
+A^-1 B as integer numerators over one positive denominator, the lcm of
+the pivots; :func:`invert` divides that out.  :func:`det` tags row i
+with the unit vector e_i, so that tag column i holds the multiple t_i of
+row i in its reduced row, and is the sign of the pivot order times the
+product of pivot_i / t_i.  :func:`solve` folds the augmented rows and
+hands the basis of a unique system to :func:`solve_integral`; it and
+:func:`det` have no caller in the package.  Interpolation has its own
+Newton kernel in :mod:`bishops.quasipoly`.
 
 Matrices are lists of rows of ints or :class:`fractions.Fraction`; a
 row with rational entries is first multiplied by the lcm of its
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Sequence
 
 Scalar = int | Fraction
@@ -41,61 +42,25 @@ INCONSISTENT = "inconsistent"
 UNDERDETERMINED = "underdetermined"
 
 
-def _scale(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
+def _scale(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
     """Integer copy of ``rows``, each row multiplied by the lcm of its
-    denominators, and the product of those multipliers; a row of plain
-    ints is copied as it stands."""
+    denominators; a row of plain ints is copied as it stands."""
     out = []
-    product = 1
     for row in rows:
         # a Fraction anywhere in the row makes its sum a Fraction
         if type(sum(row)) is int:
             out.append(list(row))
             continue
+        for entry in row:
+            if not isinstance(entry, (int, Fraction)):
+                raise ValueError("matrix entries must be int or Fraction, "
+                                 f"not {type(entry).__name__}")
         scale = lcm(*{entry.denominator for entry in row})
         out.append([entry.numerator * (scale // entry.denominator)
                     for entry in row])
-        product *= scale
     if out and any(len(row) != len(out[0]) for row in out):
         raise ValueError("rows must all have the same length")
-    return out, product
-
-
-def _eliminate(m: list[list[int]], columns: int) -> tuple[list[int], int]:
-    """Fraction-free Gauss-Jordan elimination of the integer rows ``m``
-    in place, pivoting only in the first ``columns`` columns so that
-    augmented right-hand sides ride along.
-
-    Each step takes the first nonzero entry p of its column at or below
-    the next pivot row, and replaces every other row a by
-    (p*a - f*b) / prev, where b is the pivot row, f the row's entry in
-    the pivot column and prev the previous pivot.  The division is exact:
-    afterwards the rows are the last pivot times the reduced row-echelon
-    form, whose entries are minors of the input.  Returns the pivot
-    columns and the last pivot with the sign of the row swaps, which is
-    the determinant when every column of a square matrix has a pivot.
-    """
-    pivots: list[int] = []
-    prev = sign = 1
-    for col in range(columns):
-        row = len(pivots)
-        if row == len(m):
-            break
-        pivot = next((r for r in range(row, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        if pivot != row:
-            m[row], m[pivot] = m[pivot], m[row]
-            sign = -sign
-        lead = m[row]
-        p = lead[col]
-        for r in range(len(m)):
-            if r != row:
-                f = m[r][col]
-                m[r] = [(p * a - f * b) // prev for a, b in zip(m[r], lead)]
-        pivots.append(col)
-        prev = p
-    return pivots, sign * prev
+    return out
 
 
 def reduce_row(basis: Sequence[tuple[int, Sequence[int]]],
@@ -125,28 +90,44 @@ def reduce_row(basis: Sequence[tuple[int, Sequence[int]]],
     return next(compress(count(), row)), row
 
 
-def rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Rank over the rationals: the size of the basis that
-    :func:`reduce_row` grows from the rows."""
-    m, _ = _scale(rows)
+def _fold(rows: list[list[int]]) -> list[tuple[int, Sequence[int]]]:
+    """The echelon basis that :func:`reduce_row` grows from ``rows``."""
     basis: list[tuple[int, Sequence[int]]] = []
-    for row in m:
+    for row in rows:
         reduced = reduce_row(basis, row)
         if reduced is not None:
             basis.append(reduced)
-    return len(basis)
+    return basis
+
+
+def rank(rows: Sequence[Sequence[Scalar]]) -> int:
+    """Rank over the rationals: the size of the basis that
+    :func:`reduce_row` grows from the rows."""
+    return len(_fold(_scale(rows)))
 
 
 def det(rows: Sequence[Sequence[Scalar]]) -> Fraction:
-    """Determinant of a square matrix."""
-    m, scale = _scale(rows)
-    size = len(m)
-    if any(len(row) != size for row in m):
+    """Determinant of a square matrix.
+
+    Row i goes through :func:`reduce_row` tagged with the unit vector
+    e_i, so its reduced row is t_i times the given row i plus multiples of
+    the rows before it, where t_i is its entry in tag column i.  The
+    reduced rows are therefore L A for a lower triangular L of diagonal
+    t_i, and, with their columns put in pivot order, upper triangular.
+    """
+    size = len(rows)
+    m = _scale([[*row, *(int(c == r) for c in range(size))]
+                for r, row in enumerate(rows)])
+    if any(len(row) != 2 * size for row in m):
         raise ValueError("determinant requires a square matrix")
-    pivots, last = _eliminate(m, size)
-    if len(pivots) != size:
+    # a tag keeps each row independent; singular A pivots in the tags
+    basis = _fold(m)
+    pivots = [col for col, _ in basis]
+    if any(col >= size for col in pivots):
         return Fraction(0)
-    return Fraction(last, scale)
+    swaps = sum(a > b for k, a in enumerate(pivots) for b in pivots[k + 1:])
+    return Fraction((-1) ** swaps * prod(b[col] for col, b in basis),
+                    prod(b[size + r] for r, (_, b) in enumerate(basis)))
 
 
 def solve_integral(rows: Sequence[Sequence[Scalar]],
@@ -159,14 +140,15 @@ def solve_integral(rows: Sequence[Sequence[Scalar]],
 
     The augmented rows [A | B] go through :func:`reduce_row` one by one;
     A is singular exactly when a row vanishes or its pivot falls among
-    the right-hand columns.  Otherwise each pivot column is then cleared
-    above its pivot, last pivot first, which leaves row k as p_k x_c = b_k
-    for its pivot column c; D is the lcm of the pivots p_k.
+    the right-hand columns.  Then each row, last but one first, goes
+    through :func:`reduce_row` again against the rows below it, which
+    are already reduced; that leaves row k as p_k x_c = b_k for its pivot
+    column c.  D is the lcm of the pivots p_k.
     """
     size = len(rows)
     if len(rhs) != size:
         raise ValueError("need one right-hand side row per equation")
-    m, _ = _scale([[*row, *b] for row, b in zip(rows, rhs)])
+    m = _scale([[*row, *b] for row, b in zip(rows, rhs)])
     if any(len(row) != size for row in rows):
         raise ValueError("inversion requires a square matrix")
     basis: list[tuple[int, Sequence[int]]] = []
@@ -176,18 +158,8 @@ def solve_integral(rows: Sequence[Sequence[Scalar]],
             return None
         basis.append(reduced)
     # each row is zero in the pivot columns of the rows before it
-    for k in range(size - 1, 0, -1):
-        col, b = basis[k]
-        p = b[col]
-        for j in range(k):
-            pivot, a = basis[j]
-            f = a[col]
-            if f:
-                a = [p * x - f * y for x, y in zip(a, b)]
-                content = gcd(*a)
-                if content > 1:
-                    a = [x // content for x in a]
-                basis[j] = pivot, a
+    for k in range(size - 2, -1, -1):
+        basis[k] = reduce_row(basis[k + 1:], basis[k][1])
     d = lcm(*(b[col] for col, b in basis))
     numerators: list[list[int]] = [[]] * size
     for col, b in basis:
@@ -227,13 +199,14 @@ def solve(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Solution:
     """
     if len(rows) != len(rhs):
         raise ValueError("need one right-hand side entry per equation")
-    m, _ = _scale([[*row, value] for row, value in zip(rows, rhs)])
+    m = _scale([[*row, value] for row, value in zip(rows, rhs)])
     n_cols = len(m[0]) - 1 if m else 0
-    pivots, _ = _eliminate(m, n_cols)
-    if any(m[r][n_cols] for r in range(len(pivots), len(m))):
+    basis = _fold(m)
+    if any(col == n_cols for col, _ in basis):
         return Solution(INCONSISTENT, None)
-    if len(pivots) < n_cols:
+    if len(basis) < n_cols:
         return Solution(UNDERDETERMINED, None)
-    # every column holds a pivot, so row r carries x_r
-    return Solution(UNIQUE, [Fraction(row[n_cols], row[r])
-                             for r, row in enumerate(m[:n_cols])])
+    # the basis rows are a square system with the same solution
+    d, numerators = solve_integral([b[:n_cols] for _, b in basis],
+                                   [b[n_cols:] for _, b in basis])
+    return Solution(UNIQUE, [Fraction(row[0], d) for row in numerators])

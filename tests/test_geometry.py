@@ -436,6 +436,8 @@ def test_solve_incidence_transpose_validation():
         solve_incidence_transpose(tree, [1, 1])
     with pytest.raises(ValueError):
         solve_incidence_transpose(digon, [1])
+    with pytest.raises(ValueError, match="not float"):
+        solve_incidence_transpose(digon, [0.5, 1])
     with pytest.raises(SingularFixationError):
         solve_incidence_transpose(square_balanced, [1, 1])
 
@@ -499,6 +501,20 @@ def test_solve_incidence_transpose_half_integrality(seed, data):
     assert all(2 % value.denominator == 0 for value in solution)
     doubled = solve_incidence_transpose(forest, [2 * v for v in rhs])
     assert all(value.denominator == 1 for value in doubled)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.data())
+def test_solve_incidence_transpose_fraction_rhs(seed, data):
+    # rational right-hand sides take the row-scaling path of the solve
+    forest = random_negative_one_forest(Random(seed))
+    rhs = data.draw(st.lists(
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+        min_size=forest.q, max_size=forest.q))
+    transposed = [list(column) for column
+                  in zip(*signed_graph.incidence_matrix(forest))]
+    assert reference_solve(transposed, rhs) == (
+        forest.q, linalg.UNIQUE, solve_incidence_transpose(forest, rhs))
 
 
 NEGATIVE_DIGON = SignedGraph(2, ((1, 2, POSITIVE), (1, 2, NEGATIVE)))

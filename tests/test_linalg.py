@@ -1,6 +1,7 @@
 """Exact linear algebra: the fraction-free kernel against Fraction
 references."""
 
+from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations
 from math import lcm, prod
@@ -186,9 +187,17 @@ def test_empty_matrix():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(min_value=0, max_value=4).flatmap(
+@given(st.integers(min_value=0, max_value=5).flatmap(
     lambda size: st.one_of(square_matrices(size),
                            square_matrices(size, entries))))
+# the pivots fall in columns 1, 2, 0: an even order, +1
+@example([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+# one transposition of the 4 x 4 identity: an odd order, -1
+@example([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+@example([[0, 0, 2], [0, 3, 0], [5, 0, 0]])
+# the first row pivots in its tag column
+@example([[0, 0], [1, 2]])
+@example([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]])
 def test_det_matches_leibniz(rows):
     assert linalg.det(rows) == leibniz_det(rows)
 
@@ -326,3 +335,43 @@ def test_ints_mix_with_whole_fractions():
     d, numerators = linalg.solve_integral(
         [[2, Fraction(1, 1)], [Fraction(1, 1), 1]], [[Fraction(3, 1)], [2]])
     assert [Fraction(row[0], d) for row in numerators] == [1, 1]
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, Decimal(1)], ids=str)
+@pytest.mark.parametrize("call", [
+    lambda m: linalg.rank(m),
+    lambda m: linalg.det(m),
+    lambda m: linalg.solve(m, [1, 1]),
+    lambda m: linalg.invert(m),
+    lambda m: linalg.solve_integral(m, [[1], [1]]),
+], ids=["rank", "det", "solve", "invert", "solve_integral"])
+def test_inexact_entries_are_refused(call, bad):
+    name = type(bad).__name__
+    with pytest.raises(ValueError,
+                       match=f"must be int or Fraction, not {name}"):
+        call([[1, 2], [bad, 1]])
+
+
+def test_every_entry_point_runs_on_reduce_row(monkeypatch):
+    calls = []
+    original = linalg.reduce_row
+
+    def counted(basis, row):
+        calls.append(len(basis))
+        return original(basis, row)
+
+    monkeypatch.setattr(linalg, "reduce_row", counted)
+    rows = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    for call in (lambda: linalg.rank(rows), lambda: linalg.det(rows),
+                 lambda: linalg.solve(rows, [1, 2, 3]),
+                 lambda: linalg.invert(rows)):
+        calls.clear()
+        call()
+        assert calls
+    for size in range(1, 6):
+        calls.clear()
+        # nonsingular: the eigenvalues are 1 and size + 1
+        rows = [[1 + (r == c) for c in range(size)] for r in range(size)]
+        assert linalg.solve_integral(rows, [[1]] * size) is not None
+        # size forward reductions, then size - 1 back substitutions
+        assert len(calls) == 2 * size - 1
