@@ -4,7 +4,9 @@ Coordinates are interleaved (x_1, y_1, ..., x_q, y_q) throughout.  Each
 attack hyperplane is the signed-graph edge (i, j, sign) that names its
 equation, so a subset of the arrangement is a signed graph on the q
 pieces, whose sign-class forests give an independent route to every
-independence test made here.  The matroid check walks the
+independence test made here.  The equation is written only in
+:func:`hyperplane_normal`, which the matroid walk, vertex enumeration
+and the clique-graph re-check all read.  The matroid check walks the
 independent sets and their one-hyperplane extensions depth first,
 deciding both independence bits of each subset from its parent's by one
 row reduction and at most one union-find merge.  Lattice vertices of
@@ -29,6 +31,7 @@ from .signed_graph import (
     CliqueGraph,
     Edge,
     SignedGraph,
+    _require_int,
     _require_sign,
     _solve_transpose,
     clique_graph,
@@ -56,23 +59,21 @@ def move_arrangement(q: int) -> list[Edge]:
             for sign in (NEGATIVE, POSITIVE)]
 
 
-def _attack_terms(i: int, j: int, sign: int) -> dict[int, int]:
-    """Coefficients, by coordinate offset, of the equation
-    x_i + sign * y_i - x_j - sign * y_j = 0 of edge (i, j, sign): a
-    positive edge shares x + y (northwest diagonals), a negative edge
-    x - y (northeast diagonals)."""
-    return {2 * i - 2: 1, 2 * i - 1: sign, 2 * j - 2: -1, 2 * j - 1: -sign}
-
-
 def hyperplane_normal(edge: Edge, q: int) -> list[int]:
-    """Coefficient vector of the edge's attack equation over
-    (x_1, y_1, ..., x_q, y_q)."""
+    """Coefficient vector over (x_1, y_1, ..., x_q, y_q) of the attack
+    equation x_i + sign * y_i - x_j - sign * y_j = 0 of edge (i, j, sign):
+    a positive edge shares x + y (northwest diagonals), a negative edge
+    x - y (northeast diagonals).  The one place that equation is written."""
     i, j, sign = edge
+    _require_int(i, "edge endpoint")
+    _require_int(j, "edge endpoint")
     if not 1 <= i < j <= q:
         raise ValueError(f"need 1 <= i < j <= {q}, got ({i}, {j})")
     _require_sign(sign)
-    terms = _attack_terms(i, j, sign)
-    return [terms.get(c, 0) for c in range(2 * q)]
+    normal = [0] * (2 * q)
+    normal[2 * i - 2:2 * i] = 1, sign
+    normal[2 * j - 2:2 * j] = -1, -sign
+    return normal
 
 
 def independence_walk(q: int) -> Iterator[tuple[tuple[Edge, ...], bool, bool]]:
@@ -148,6 +149,7 @@ class Fixation:
     def __post_init__(self) -> None:
         if self.axis not in ("x", "y"):
             raise ValueError("axis must be 'x' or 'y'")
+        _require_int(self.index, "piece index")
         if self.index < 1:
             raise ValueError("piece index must be at least 1")
         if not isinstance(self.value, int) or isinstance(self.value, bool):
@@ -288,8 +290,8 @@ def solve_via_clique_graph(graph: SignedGraph,
     and b come out integral, which is to say every coordinate
     x_i = (a_k - b_l)/2, y_i = (a_k + b_l)/2 is a weak half integer with
     matched parity inside each piece's pair.  That is re-checked on the
-    way out, as is every fixation and every edge's attack equation, in
-    integers on 2 * point.
+    way out, as is every fixation and every edge's attack equation, as
+    the dot product of its :func:`hyperplane_normal` with 2 * point.
     """
     clique = clique_graph(graph)
     for fixation in fixations:
@@ -314,8 +316,8 @@ def solve_via_clique_graph(graph: SignedGraph,
              "piece coordinates must be integral or both strict halves")
     twice = [c.numerator * (2 // c.denominator) for c in point]
     for i, j, sign in graph.edges:
-        _require(sum(coefficient * twice[at] for at, coefficient
-                     in _attack_terms(i, j, sign).items()) == 0,
+        normal = hyperplane_normal((i, j, sign), graph.q)
+        _require(sum(n * t for n, t in zip(normal, twice)) == 0,
                  f"the point is off the equation of edge ({i},{j},{sign:+d})")
     for fixation in fixations:
         _require(point[fixation.position()] == fixation.value,

@@ -47,10 +47,14 @@ def _scale(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
     denominators; a row of plain ints is copied as it stands."""
     out = []
     for row in rows:
-        # a Fraction anywhere in the row makes its sum a Fraction
-        if type(sum(row)) is int:
-            out.append(list(row))
-            continue
+        # a Fraction anywhere in the row makes its sum a Fraction, and an
+        # entry that does not add is refused below
+        try:
+            if type(sum(row)) is int:
+                out.append(list(row))
+                continue
+        except TypeError:
+            pass
         for entry in row:
             if not isinstance(entry, (int, Fraction)):
                 raise ValueError("matrix entries must be int or Fraction, "

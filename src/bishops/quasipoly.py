@@ -3,12 +3,13 @@
 A quasipolynomial of period p is a list of p ordinary polynomials
 ("constituents"); the one used at integer n is selected by the least
 nonnegative residue of n mod p, which keeps evaluation well defined at
-zero and negative arguments.  Evaluation runs Horner in integers over
-the constituent's common denominator.
+zero and negative arguments.  One helper, ``_over_lcm``, writes a list
+of ints and Fractions as integers over the lcm of its denominators;
+evaluation runs Horner in integers on each constituent so scaled.
 
 Interpolation recovers constituents from exact samples one residue
-class at a time, in integers.  The class's values, less any known
-leading term, are scaled to integers by the lcm of their denominators;
+class at a time, in integers.  The same helper scales the class's
+values with any known leading coefficient, whose term is subtracted;
 fraction-free divided differences give the Newton form over one integer
 scale, whatever the spacing of the keys; the remaining samples are
 checked in integers against the fit; and each monomial coefficient
@@ -61,6 +62,13 @@ def _exact(value, what: str) -> Fraction:
                      f"{type(value).__name__}")
 
 
+def _over_lcm(values: Sequence[int | Fraction]) -> tuple[int, list[int]]:
+    """(d, numerators): d is the lcm of the denominators of ``values``,
+    ints and Fractions, and numerators[i] = d * values[i], an integer."""
+    d = lcm(*(value.denominator for value in values))
+    return d, [value.numerator * (d // value.denominator) for value in values]
+
+
 def _horner(coefficients: Sequence, n: int):
     """Value at n of the polynomial with these coefficients, highest
     power first; exact in whatever type the coefficients have."""
@@ -102,21 +110,15 @@ class Quasipolynomial:
             raise ValueError("each constituent needs degree + 1 coefficients")
 
     @cached_property
-    def _integral(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Per constituent, (numerators, d): d is the lcm of its
-        coefficient denominators and numerators[i] = d * coefficient i."""
-        scaled = []
-        for row in self.constituents:
-            d = lcm(*(c.denominator for c in row))
-            scaled.append((tuple(c.numerator * (d // c.denominator)
-                                 for c in row), d))
-        return tuple(scaled)
+    def _integral(self) -> tuple[tuple[int, list[int]], ...]:
+        """Per constituent, its coefficients over their lcm denominator."""
+        return tuple(map(_over_lcm, self.constituents))
 
     def evaluate(self, n: int) -> Fraction:
         """Value at any integer n; n % period in Python is already the
         least nonnegative residue, negative n included.  Horner runs in
         integers, and the one Fraction is built at the end."""
-        numerators, d = self._integral[n % self.period]
+        d, numerators = self._integral[n % self.period]
         return Fraction(_horner(numerators, n), d)
 
     def coefficient(self, i: int, r: int) -> Fraction:
@@ -146,19 +148,6 @@ class Quasipolynomial:
         on these values."""
         return [_smallest_period([row[i] for row in self.constituents])
                 for i in range(self.degree + 1)]
-
-
-def _scale_to_integers(points: list[tuple[int, int | Fraction]],
-                       top: Fraction | None, degree: int
-                       ) -> tuple[int, list[int]]:
-    """(s, ys): s is the lcm of the denominators of the values and of
-    ``top``, and ys[i] = s * (value_i - top * n_i^degree), an integer."""
-    scale = lcm(*(value.denominator for _, value in points),
-                1 if top is None else top.denominator)
-    head = 0 if top is None else top.numerator * (scale // top.denominator)
-    return scale, [value.numerator * (scale // value.denominator)
-                   - (head * n ** degree if head else 0)
-                   for n, value in points]
 
 
 def _fit(xs: list[int], ys: list[int],
@@ -212,10 +201,10 @@ def interpolate(samples: Mapping[int, int | Fraction], degree: int,
     samples of the class (in increasing n), the rest checked against
     the fit.
 
-    Each class's values, less the leading term when it is known, are
-    scaled to integers by the lcm s of their denominators, and the fit
-    runs in integers over a Newton scale d.  Each coefficient is
-    divided by d * s exactly once, at the end.
+    Each class's values and the known leading coefficient are scaled to
+    integers by the lcm s of their denominators, the leading term is
+    subtracted, and the fit runs in integers over a Newton scale d.
+    Each coefficient is divided by d * s exactly once, at the end.
 
     Sample values and ``leading`` must be int or Fraction.  With
     ``leading`` supplied, gamma_0 is fixed in advance and each class
@@ -240,7 +229,9 @@ def interpolate(samples: Mapping[int, int | Fraction], degree: int,
         points = sorted(classes.get(r, ()))
         if len(points) < unknowns:
             raise InsufficientSamplesError(r, period, unknowns, len(points))
-        scale, ys = _scale_to_integers(points, top, degree)
+        scale, (head, *ys) = _over_lcm([top or 0, *(v for _, v in points)])
+        if head:
+            ys = [y - head * n ** degree for (n, _), y in zip(points, ys)]
         fit = _fit([n for n, _ in points], ys, unknowns)
         if fit is None:
             raise InconsistentSamplesError(

@@ -34,6 +34,13 @@ def _require_sign(sign: object) -> None:
         raise ValueError(f"edge sign must be the int +1 or -1, got {sign!r}")
 
 
+def _require_int(value: object, what: str) -> None:
+    """Refuse a float or a bool where an int is needed: either compares
+    equal to one, but is written and indexes as something else."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SignedGraph:
     """Multigraph on q nodes with edges (i, j, sign), sign being +1 or -1.
@@ -45,10 +52,13 @@ class SignedGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
+        _require_int(self.q, "node count")
         if self.q < 0:
             raise ValueError("node count must be nonnegative")
         normalized = []
         for i, j, sign in self.edges:
+            _require_int(i, "edge endpoint")
+            _require_int(j, "edge endpoint")
             if i == j:
                 raise ValueError(f"loop at node {i} is not allowed")
             if not (1 <= i <= self.q and 1 <= j <= self.q):

@@ -490,6 +490,10 @@ def _raising(error):
     ("solve_incidence_transpose",
      lambda graph, rhs: [F(1, 3)] * len(rhs),
      "incidence transpose solves: FAIL (solution not weakly half-integral "),
+    # halves pass the first solve and fail the doubled right-hand side
+    ("solve_incidence_transpose", lambda graph, rhs: [F(1, 2)] * len(rhs),
+     "incidence transpose solves: FAIL (even right-hand side gave a "
+     "fractional solution for SignedGraph("),
     ("solve_incidence_transpose",
      _raising(geometry.SingularFixationError("singular")),
      "incidence transpose solves: FAIL (singular for SignedGraph("),

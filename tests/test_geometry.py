@@ -78,6 +78,10 @@ def test_hyperplane_validation():
     # j > q
     with pytest.raises(ValueError):
         hyperplane_normal((1, 3, NEGATIVE), 2)
+    # a float or bool endpoint equals an int but cannot index the normal
+    for edge in ((1, 2.0, POSITIVE), (1.0, 2, NEGATIVE), (True, 2, POSITIVE)):
+        with pytest.raises(ValueError, match="edge endpoint must be an int"):
+            hyperplane_normal(edge, 3)
 
 
 def test_move_arrangement_size_and_order():
@@ -216,6 +220,10 @@ def test_fixation_validation():
         Fixation("x", 1, True)
     with pytest.raises(NonIntegerFixationError):
         Fixation("x", 1, 1.0)
+    # "x_1.0" would name no coordinate of the clique-graph solve
+    for index in (1.0, True):
+        with pytest.raises(ValueError, match="piece index must be an int"):
+            Fixation("x", index, 0)
 
 
 def test_vertices_one_piece():
@@ -461,9 +469,10 @@ def test_clique_solve_rechecks_catch_a_corrupted_solve(
         return values
 
     if corrupt == "flip-sign":
-        honest_terms = geometry._attack_terms
-        monkeypatch.setattr(geometry, "_attack_terms",
-                            lambda i, j, sign: honest_terms(i, j, -sign))
+        honest_normal = geometry.hyperplane_normal
+        monkeypatch.setattr(geometry, "hyperplane_normal",
+                            lambda edge, q: honest_normal(
+                                (edge[0], edge[1], -edge[2]), q))
     else:
         monkeypatch.setattr(geometry, "_solve_transpose", shifted)
     graph = example_clique_fixture()

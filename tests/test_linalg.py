@@ -175,6 +175,12 @@ def test_solve_rectangular_overdetermined():
     assert solution.point == [2, 3]
 
 
+def test_solve_rejects_a_short_right_hand_side():
+    with pytest.raises(ValueError, match="one right-hand side entry per "
+                                         "equation"):
+        linalg.solve([[1, 0], [0, 1]], [1])
+
+
 def test_det_rejects_nonsquare():
     with pytest.raises(ValueError):
         linalg.det([[1, 2, 3], [4, 5, 6]])
@@ -337,7 +343,15 @@ def test_ints_mix_with_whole_fractions():
     assert [Fraction(row[0], d) for row in numerators] == [1, 1]
 
 
-@pytest.mark.parametrize("bad", [0.5, 2.0, Decimal(1)], ids=str)
+@pytest.mark.parametrize("bad_row, name", [
+    pytest.param([0.5, 1], "float", id="0.5"),
+    pytest.param([2.0, 1], "float", id="2.0"),
+    pytest.param([Decimal(1), 1], "Decimal", id="1"),
+    # rows whose sum itself raises TypeError
+    pytest.param([Fraction(1, 2), Decimal(1)], "Decimal", id="half-Decimal"),
+    pytest.param([1, None], "NoneType", id="None"),
+    pytest.param([Fraction(1, 2), "a"], "str", id="half-str"),
+])
 @pytest.mark.parametrize("call", [
     lambda m: linalg.rank(m),
     lambda m: linalg.det(m),
@@ -345,11 +359,10 @@ def test_ints_mix_with_whole_fractions():
     lambda m: linalg.invert(m),
     lambda m: linalg.solve_integral(m, [[1], [1]]),
 ], ids=["rank", "det", "solve", "invert", "solve_integral"])
-def test_inexact_entries_are_refused(call, bad):
-    name = type(bad).__name__
+def test_inexact_entries_are_refused(call, bad_row, name):
     with pytest.raises(ValueError,
-                       match=f"must be int or Fraction, not {name}"):
-        call([[1, 2], [bad, 1]])
+                       match=f"must be int or Fraction, not {name}$"):
+        call([[1, 2], bad_row])
 
 
 def test_every_entry_point_runs_on_reduce_row(monkeypatch):

@@ -52,9 +52,9 @@ def test_check_vertices_reads_the_hyperplane_sign(oracle, capsys, monkeypatch):
     assert problem is not None and "off its hyperplane" in problem
     # an edge equation read with the other sign moves every normal to
     # the other diagonal family, which the renderer's label still names
-    honest = geometry._attack_terms
-    monkeypatch.setattr(geometry, "_attack_terms",
-                        lambda i, j, sign: honest(i, j, -sign))
+    honest = geometry.hyperplane_normal
+    monkeypatch.setattr(geometry, "hyperplane_normal",
+                        lambda edge, q: honest((edge[0], edge[1], -edge[2]), q))
     text = run(capsys, "vertices", "-q", "3", "--format", "json")
     problem = oracle.check_vertices(text, 3, 88, 2)
     assert problem is not None and "off its hyperplane" in problem

@@ -31,6 +31,8 @@ def test_construction_validation():
         Quasipolynomial(2, 1, ((F(1), F(0)),))
     with pytest.raises(ValueError):
         Quasipolynomial(1, 2, ((F(1), F(0)),))
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        Quasipolynomial(1, -1, ((),))
 
 
 def test_construction_rejects_inexact_coefficients():
@@ -378,6 +380,14 @@ def test_interpolate_bishops_validation():
         interpolate_bishops(0)
     with pytest.raises(ValueError, match="period must be positive"):
         interpolate_bishops(3, period=0)
+
+
+def test_interpolate_validation():
+    samples = {n: n * n for n in range(1, 9)}
+    with pytest.raises(ValueError, match="period must be positive"):
+        interpolate(samples, 2, 0)
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        interpolate(samples, -1, 1)
 
 
 @pytest.mark.parametrize("q", range(1, 17))

@@ -23,7 +23,11 @@ from bishops import (
     rank,
     signed_cliques,
 )
-from bishops._testkit import random_signed_tree
+from bishops._testkit import (
+    random_clique_solve_instance,
+    random_signed_graph,
+    random_signed_tree,
+)
 
 from helpers import (
     example_clique_fixture,
@@ -55,6 +59,15 @@ def test_construction_validation():
     for sign in (0, 1.0, -1.0, True):
         with pytest.raises(ValueError):
             SignedGraph(2, ((1, 2, sign),))
+    with pytest.raises(ValueError, match="node count must be nonnegative"):
+        SignedGraph(-1, ())
+    # 2.0 would be written "1 2.0 +", which parse_graph refuses
+    for q in (2.0, True):
+        with pytest.raises(ValueError, match="node count must be an int"):
+            SignedGraph(q, ())
+    for edge in ((1, 2.0, POSITIVE), (1.0, 2, POSITIVE), (True, 2, NEGATIVE)):
+        with pytest.raises(ValueError, match="edge endpoint must be an int"):
+            SignedGraph(2, (edge,))
     graph = SignedGraph(3, ((3, 1, NEGATIVE), (2, 1, POSITIVE)))
     assert graph.edges == ((1, 3, NEGATIVE), (1, 2, POSITIVE))
 
@@ -253,6 +266,16 @@ def test_parse_graph_round_trip():
     parsed, parsed_fixations = parse_graph(text)
     assert parsed == graph
     assert parsed_fixations == fixations
+
+
+def test_format_graph_round_trips_testkit_instances():
+    rng = Random(27)
+    for _ in range(200):
+        graph, fixations = random_clique_solve_instance(rng)
+        raw = [(f.axis, f.index, f.value) for f in fixations]
+        assert parse_graph(format_graph(graph, raw)) == (graph, raw)
+        graph = random_signed_graph(rng)
+        assert parse_graph(format_graph(graph)) == (graph, [])
 
 
 def test_parse_graph_accepts_comments_and_unicode_minus():
