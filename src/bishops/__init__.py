@@ -20,8 +20,7 @@ _EXPORTS = {name: module for module, names in {
                  "count_bishops_fast", "count_unlabelled_naive",
                  "sample_counts"),
     "geometry": ("CliqueSolution", "EnumerationBoundExceeded", "Fixation",
-                 "LatticeVertex", "NonIntegerFixationError",
-                 "SingularFixationError", "denominator_lcm",
+                 "LatticeVertex", "SingularFixationError", "denominator_lcm",
                  "enumerate_lattice_vertices", "hyperplane_normal",
                  "matroid_check", "move_arrangement", "period_upper_bound",
                  "solve_incidence_transpose", "solve_via_clique_graph",

@@ -2,13 +2,22 @@
 
 A rider attacks along every integral multiple of each of its basic move
 vectors; the bishop is the rider with basic moves (1, 1) and (1, -1).
-Boards are n x n with 1-based coordinates.
+Boards are n x n with 1-based coordinates.  The rule for integer fields
+is written here once, and every layer imports it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+
+
+def _require_int(value: object, what: str) -> None:
+    """Refuse a float or a bool where an int is needed: either compares
+    equal to one, but is written and indexes as something else.  Any
+    other int subclass is an int."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True, order=True)
@@ -25,6 +34,8 @@ class BasicMove:
     dy: int
 
     def __post_init__(self) -> None:
+        _require_int(self.dx, "basic move dx")
+        _require_int(self.dy, "basic move dy")
         if (self.dx, self.dy) == (0, 0):
             raise ValueError("a basic move must be nonzero")
         if gcd(self.dx, self.dy) > 1:

@@ -12,8 +12,9 @@ deciding both independence bits of each subset from its parent's by one
 row reduction and at most one union-find merge.  Lattice vertices of
 the inside-out unit cube are enumerated over the walk's independent sets,
 as integer numerators over one denominator per system with a
-``Fraction`` only for a kept vertex, and checked for half-integrality;
-the clique-graph linear system reconstructs a vertex from its fixations.
+``Fraction`` only for a kept vertex, and checked for half-integrality
+by one predicate; the clique-graph solve reconstructs a vertex from its
+fixations and checks once that its clique values are integers.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from . import linalg
+from .board import _require_int
 from .signed_graph import (
     NEGATIVE,
     POSITIVE,
     CliqueGraph,
     Edge,
     SignedGraph,
-    _require_int,
     _require_sign,
     _solve_transpose,
     clique_graph,
@@ -45,10 +46,6 @@ class EnumerationBoundExceeded(ValueError):
 class SingularFixationError(ValueError):
     """The fixation edges do not form a spanning negative 1-forest, so
     the clique-graph matrix is singular."""
-
-
-class NonIntegerFixationError(ValueError):
-    """Fixation values must be integers."""
 
 
 def move_arrangement(q: int) -> list[Edge]:
@@ -152,9 +149,7 @@ class Fixation:
         _require_int(self.index, "piece index")
         if self.index < 1:
             raise ValueError("piece index must be at least 1")
-        if not isinstance(self.value, int) or isinstance(self.value, bool):
-            raise NonIntegerFixationError(
-                f"fixation value {self.value!r} is not an integer")
+        _require_int(self.value, "fixation value")
 
     @property
     def coordinate(self) -> str:
@@ -233,15 +228,12 @@ def enumerate_lattice_vertices(q: int, *, bound: int = 3) -> list[LatticeVertex]
     return sorted(found.values(), key=lambda vertex: vertex.point)
 
 
-def _half_integral(point: Sequence[Fraction]) -> bool:
-    """True iff each piece's (x_i, y_i) are both integers or both strict halves."""
-    return all(x.denominator == y.denominator in (1, 2)
-               for x, y in zip(point[::2], point[1::2]))
-
-
 def verify_half_integrality(vertices: Iterable[LatticeVertex]) -> bool:
-    """True iff every vertex is half-integral with matched pairs."""
-    return all(_half_integral(vertex.point) for vertex in vertices)
+    """True iff every vertex is half-integral with matched pairs: each
+    piece's (x_i, y_i) are both integers or both strict halves."""
+    return all(x.denominator == y.denominator in (1, 2)
+               for vertex in vertices
+               for x, y in zip(vertex.point[::2], vertex.point[1::2]))
 
 
 def denominator_lcm(vertices: Iterable[LatticeVertex]) -> int:
@@ -284,14 +276,14 @@ def solve_via_clique_graph(graph: SignedGraph,
     first, and one edge per fixation: fixing x_i or y_i, where piece i
     has clique-graph edge (k, l), adds the edge (k + 1, |pos| + l + 1),
     positive for x and negative for y, which is the x or y copy of that
-    edge in the doubled clique graph.  Psi must
-    be a spanning negative 1-forest, which is exactly what makes
-    M = H(Psi) nonsingular.  The right-hand side 2(c; d) is even, so a
-    and b come out integral, which is to say every coordinate
-    x_i = (a_k - b_l)/2, y_i = (a_k + b_l)/2 is a weak half integer with
-    matched parity inside each piece's pair.  That is re-checked on the
-    way out, as is every fixation and every edge's attack equation, as
-    the dot product of its :func:`hyperplane_normal` with 2 * point.
+    edge in the doubled clique graph.  Psi must be a spanning negative
+    1-forest, which is exactly what makes M = H(Psi) nonsingular.  The
+    right-hand side 2(c; d) is even, so a and b come out integral, which
+    is to say every coordinate x_i = (a_k - b_l)/2, y_i = (a_k + b_l)/2
+    is a weak half integer with matched parity inside each piece's pair.
+    That is re-checked once, on a and b; each edge's attack equation
+    (its :func:`hyperplane_normal`) and each fixation is then checked on
+    2 * point in integers, and only the returned point is a Fraction.
     """
     clique = clique_graph(graph)
     for fixation in fixations:
@@ -309,20 +301,19 @@ def solve_via_clique_graph(graph: SignedGraph,
         raise SingularFixationError(
             "the fixation edges must form a spanning negative 1-forest "
             "of the doubled clique graph; M would be singular")
-    a, b = tuple(values[:offset]), tuple(values[offset:])
-    point = [c for k, l in clique.edges
-             for c in ((a[k] - b[l]) / 2, (a[k] + b[l]) / 2)]
-    _require(_half_integral(point),
+    _require(all(value.denominator == 1 for value in values),
              "piece coordinates must be integral or both strict halves")
-    twice = [c.numerator * (2 // c.denominator) for c in point]
+    a, b = tuple(values[:offset]), tuple(values[offset:])
+    twice = [t for k, l in clique.edges for t in (
+        a[k].numerator - b[l].numerator, a[k].numerator + b[l].numerator)]
     for i, j, sign in graph.edges:
         normal = hyperplane_normal((i, j, sign), graph.q)
         _require(sum(n * t for n, t in zip(normal, twice)) == 0,
                  f"the point is off the equation of edge ({i},{j},{sign:+d})")
     for fixation in fixations:
-        _require(point[fixation.position()] == fixation.value,
+        _require(twice[fixation.position()] == 2 * fixation.value,
                  f"fixation {fixation.coordinate} = {fixation.value} violated")
-    return CliqueSolution(tuple(point), a, b, clique)
+    return CliqueSolution(tuple(Fraction(t, 2) for t in twice), a, b, clique)
 
 
 def solve_incidence_transpose(graph: SignedGraph,

@@ -24,7 +24,7 @@ from functools import cached_property
 from math import factorial, lcm
 from typing import Mapping, Sequence
 
-from .board import BISHOP, Rider
+from .board import BISHOP, Rider, _require_int
 from .counting import DEFAULT_NODE_BUDGET, sample_counts
 
 
@@ -97,6 +97,8 @@ class Quasipolynomial:
     constituents: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
+        _require_int(self.period, "period")
+        _require_int(self.degree, "degree")
         if self.period < 1:
             raise ValueError("period must be positive")
         if self.degree < 0:
@@ -212,13 +214,16 @@ def interpolate(samples: Mapping[int, int | Fraction], degree: int,
     overdetermine the fit; any contradiction raises
     InconsistentSamplesError instead of being averaged away.
     """
+    _require_int(period, "period")
+    _require_int(degree, "degree")
     if period < 1:
         raise ValueError("period must be positive")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     classes: dict[int, list[tuple[int, int | Fraction]]] = {}
     for n, value in samples.items():
-        if not isinstance(n, int) or n < 1:
+        _require_int(n, "sample key")
+        if n < 1:
             raise ValueError("sample keys must be positive integers")
         _exact(value, "sample values")
         classes.setdefault(n % period, []).append((n, value))
@@ -250,6 +255,8 @@ def _fit_table(q: int, period: int, rider: Rider, node_budget: int,
                holdout: int = 0) -> tuple[Quasipolynomial, dict[int, int]]:
     """(fit on n = 1..2q*period, counts at the next ``holdout`` sizes),
     both read from one count table of n = 1..2q*period + holdout."""
+    _require_int(q, "q")
+    _require_int(period, "period")
     if q < 1:
         raise ValueError("q must be at least 1")
     if period < 1:

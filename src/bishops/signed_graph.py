@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
+from .board import _require_int
 
 POSITIVE = 1
 NEGATIVE = -1
@@ -32,13 +33,6 @@ def _require_sign(sign: object) -> None:
     bool compares equal to one but would carry into exact arithmetic."""
     if type(sign) is not int or sign not in (POSITIVE, NEGATIVE):
         raise ValueError(f"edge sign must be the int +1 or -1, got {sign!r}")
-
-
-def _require_int(value: object, what: str) -> None:
-    """Refuse a float or a bool where an int is needed: either compares
-    equal to one, but is written and indexes as something else."""
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)

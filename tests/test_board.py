@@ -28,6 +28,14 @@ def test_basic_move_canonicalization():
         BasicMove(0, 0)
 
 
+@pytest.mark.parametrize("dx, dy", [(True, False), (1.0, 1.0), (0, True)])
+def test_basic_move_refuses_non_int_components(dx, dy):
+    # True and 1.0 compare equal to 1, but a bool would be stored and
+    # printed as itself, and a float fails inside gcd() with a TypeError
+    with pytest.raises(ValueError, match="basic move d[xy] must be an int"):
+        BasicMove(dx, dy)
+
+
 def test_bishop_moves():
     assert BISHOP.moves == frozenset({BasicMove(1, 1), BasicMove(1, -1)})
 

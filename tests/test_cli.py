@@ -4,6 +4,7 @@ import argparse
 import ast
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -28,6 +29,10 @@ from helpers import DATA_DIR
 
 FIXTURE = str(DATA_DIR / "clique_example.txt")
 GOLDEN_DIR = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
+# the package's parent directory on the path, as from a checkout
+CHECKOUT_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH")]))}
 
 
 def run(capsys, *argv):
@@ -50,17 +55,45 @@ def test_count_huge_q_prints_zero(capsys):
 
 
 def test_python_dash_m_runs_the_cli():
-    # the package's parent directory on the path, as from a checkout
-    source = str(Path(cli.__file__).parent.parent)
-    path = os.pathsep.join(filter(None, [source,
-                                         os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "bishops", "count", "-q", "2", "-n", "3"],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": path})
+        capture_output=True, text=True, timeout=60, env=CHECKOUT_ENV)
     assert result.returncode == 0
     assert result.stdout == "26\n"
     assert result.stderr == ""
+
+
+def readme_section(heading: str, fence: str) -> str:
+    """The first code block opened by ``fence`` after ``heading``."""
+    text = README.read_text(encoding="utf-8").split(heading, 1)[1]
+    return text.split(fence + "\n", 1)[1].split("```", 1)[0]
+
+
+README_COMMANDS = [line for line in readme_section(
+    "## Command line", "```sh").splitlines() if line.startswith("bishops ")]
+
+
+def test_readme_command_block_is_found():
+    # an empty parse would leave the test below without a case
+    assert [line.partition("#")[2].strip() for line in README_COMMANDS
+            if line.startswith("bishops count -q 2 -n 3 ")] == ["26"]
+
+
+@pytest.mark.parametrize("line", README_COMMANDS)
+def test_readme_command_line_runs_as_documented(tmp_path, line):
+    # each line as `python -m bishops`, next to the README's own graph
+    # file; a comment saying "exits 2" sets the exit code, and a comment
+    # that is a number is the whole output
+    (tmp_path / "instance.txt").write_text(
+        readme_section("A graph file holds", "```"), encoding="utf-8")
+    command, _, comment = line.partition("#")
+    done = subprocess.run(
+        [sys.executable, "-m", "bishops", *shlex.split(command)[1:]],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env=CHECKOUT_ENV)
+    assert done.returncode == (2 if "exits 2" in comment else 0), done.stderr
+    if comment.strip().isdigit():
+        assert done.stdout == comment.strip() + "\n"
 
 
 def test_count_range_pretty(capsys):

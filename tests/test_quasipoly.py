@@ -382,6 +382,24 @@ def test_interpolate_bishops_validation():
         interpolate_bishops(3, period=0)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Quasipolynomial(1.0, 0, ((1,),)), "period"),
+    (lambda: Quasipolynomial(2, 1.0, ((1, 0), (1, 0))), "degree"),
+    (lambda: interpolate({True: 1, 2: 4, 3: 9}, 2, 1), "sample key"),
+    (lambda: interpolate({n: n * n for n in range(1, 9)}, 2.0, 1), "degree"),
+    (lambda: interpolate({n: n * n for n in range(1, 9)}, 2, 1.0), "period"),
+    (lambda: interpolate_bishops(2, period=2.0), "period"),
+    (lambda: interpolate_bishops(2.0), "q"),
+], ids=["period", "degree", "bool-key", "interpolate-degree",
+        "interpolate-period", "bishops-period", "bishops-q"])
+def test_integer_fields_refuse_floats_and_bools(build, message):
+    # each compares equal to an int, but would index, slice or key as
+    # something else: a float period picks no constituent, and True
+    # would be taken as the sample at n = 1
+    with pytest.raises(ValueError, match=f"^{message} must be an int"):
+        build()
+
+
 def test_interpolate_validation():
     samples = {n: n * n for n in range(1, 9)}
     with pytest.raises(ValueError, match="period must be positive"):
