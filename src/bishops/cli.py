@@ -342,7 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="check the interpolated period against the geometric bound")
     verify.add_argument("-q", type=int, required=True)
     verify.add_argument("--bound", type=int, default=3,
-                        help="largest q allowed for vertex enumeration")
+                        help="largest q allowed for the geometric bound, "
+                        "which solves one independent hyperplane set per "
+                        "symmetry orbit (q = 5 takes seconds)")
     verify.set_defaults(handler=cmd_verify_period)
 
     vertices = commands.add_parser(

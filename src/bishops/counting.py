@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .board import BISHOP, Rider, attack_masks
+from .board import BISHOP, Rider, _require_int, attack_masks
 
 DEFAULT_NODE_BUDGET = 10**9
 
@@ -39,6 +39,8 @@ def count_unlabelled_naive(rider: Rider, q: int, n: int,
     The search recurses once per piece, so a q near Python's recursion
     limit (about 1,000) raises ValueError.
     """
+    _require_int(q, "q")
+    _require_int(n, "n")
     if q < 0 or n < 0:
         raise ValueError("q and n must be nonnegative")
     if node_budget < 0:
@@ -126,6 +128,8 @@ def _bishop_counts(q: int, n_from: int, n_to: int) -> dict[int, int]:
 def count_bishops_fast(q: int, n: int) -> int:
     """Exact u(q; n) for bishops, in time polynomial in q and n: the
     last board size of :func:`_bishop_counts`."""
+    _require_int(q, "q")
+    _require_int(n, "n")
     return _bishop_counts(q, n, n)[n]
 
 

@@ -13,15 +13,17 @@ row reduction and at most one union-find merge.  Lattice vertices of
 the inside-out unit cube are enumerated over the walk's independent sets,
 as integer numerators over one denominator per system with a
 ``Fraction`` only for a kept vertex, and checked for half-integrality
-by one predicate; the clique-graph solve reconstructs a vertex from its
-fixations and checks once that its clique values are integers.
+by one predicate; the period bound runs the same per-set solve on one
+independent set per orbit of relabelling the pieces and x -> 1 - x.
+The clique-graph solve reconstructs a vertex from its fixations and
+checks once that its clique values are integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress, product
+from itertools import combinations, permutations, product
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -126,6 +128,8 @@ def matroid_check(q: int, *, bound: int = 4) -> bool:
     the two sign-class forest ranks, through the independent sets of
     the arrangement and their one-hyperplane extensions (see
     :func:`independence_walk`)."""
+    _require_int(q, "q")
+    _require_int(bound, "bound")
     if q < 0:
         raise ValueError("q must be nonnegative")
     if q > bound:
@@ -170,61 +174,95 @@ class LatticeVertex:
     fixations: tuple[Fixation, ...]
 
 
+def _check_vertex_search(q: int, bound: int) -> None:
+    """The argument rule of the two vertex searches."""
+    _require_int(q, "q")
+    _require_int(bound, "bound")
+    if q < 1:
+        raise ValueError("q must be at least 1")
+    if q > bound:
+        raise EnumerationBoundExceeded(
+            f"vertex enumeration for q={q} is above the bound {bound}")
+
+
+def _cube_points(subset: Sequence[Edge], q: int) -> Iterator[
+        tuple[tuple[int, ...], tuple[int, ...], tuple[int, tuple[int, ...]]]]:
+    """Yield (fixed coordinates, their 0/1 values, point) for each point of
+    the unit cube that the independent ``subset`` pins together with
+    2q - |subset| facet fixations, the point in lowest terms as
+    (denominator, numerators).
+
+    Substituting the fixed coordinates leaves a k x k system on the
+    loose ones, eliminated once per choice of fixed coordinates into
+    integer numerators over one positive denominator D, so a loose
+    coordinate's numerator under each choice of values is a subset sum
+    of its row.  Each row's subset sums are built once, by doubling, and
+    the choices are filtered against [0, D] one row at a time.  A point
+    pinned by several choices is yielded for each, in the order of
+    ``product``.
+    """
+    dim = 2 * q
+    normals = [hyperplane_normal(h, q) for h in subset]
+    choices = list(product((0, 1), repeat=dim - len(subset)))
+    for fixed in combinations(range(dim), dim - len(subset)):
+        loose = [c for c in range(dim) if c not in fixed]
+        # N_L x_L = -N_F x_F, one right-hand column per fixed x
+        solved = linalg.solve_integral(
+            [[row[c] for c in loose] for row in normals],
+            [[-row[c] for c in fixed] for row in normals])
+        if solved is None:
+            continue
+        d, columns = solved
+        # per loose coordinate, its numerator under every choice, in the
+        # order of choices: the first fixed value is the slowest bit
+        sums = []
+        for row in columns:
+            column = [0]
+            for entry in row:
+                column = [a + b for a in column for b in (0, entry)]
+            sums.append(column)
+        kept = range(len(choices))
+        for column in sums:
+            kept = [k for k in kept if 0 <= column[k] <= d]
+        numerators = [0] * dim
+        for k in kept:
+            values = choices[k]
+            for c, column in zip(loose, sums):
+                numerators[c] = column[k]
+            for c, v in zip(fixed, values):
+                numerators[c] = v * d
+            g = gcd(d, *numerators)
+            yield fixed, values, (d // g, tuple(n // g for n in numerators))
+
+
 def enumerate_lattice_vertices(q: int, *, bound: int = 3) -> list[LatticeVertex]:
     """All vertices of the inside-out unit cube for q bishops.
 
     Every choice of k independent hyperplanes (those that the matrix
     route of :func:`independence_walk` calls independent) plus 2q - k facet
     fixations (values 0 or 1) whose system has a unique solution
-    contributes its solution, filtered to the cube.  Substituting the
-    fixed coordinates leaves a k x k system on the loose ones,
-    eliminated once per choice of fixed coordinates into integer
-    numerators over one positive denominator D, so each 0/1 choice of
-    values is an integer column sum tested against [0, D]; a
-    ``Fraction`` is built only for a vertex that is kept.  Points
-    reachable from several defining sets are kept once, with the first
-    defining set in iteration order; the result is sorted by
-    coordinates, so it is deterministic.
+    contributes its solution, filtered to the cube (see
+    :func:`_cube_points`); a ``Fraction`` is built only for a vertex
+    that is kept.  Points reachable from several defining sets are kept
+    once, with the first defining set in iteration order; the result is
+    sorted by coordinates, so it is deterministic.
     """
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    if q > bound:
-        raise EnumerationBoundExceeded(
-            f"vertex enumeration for q={q} is above the bound {bound}")
-    dim = 2 * q
+    _check_vertex_search(q, bound)
     # keyed by the point in lowest terms: (denominator, numerators)
     found: dict[tuple[int, tuple[int, ...]], LatticeVertex] = {}
     # the walk yields subsets in index order, which a stable sort by
     # size turns into combinations() order, size by size
     for subset in sorted((s for s, m, _ in independence_walk(q) if m),
                          key=len):
-        normals = [hyperplane_normal(h, q) for h in subset]
-        for fixed in combinations(range(dim), dim - len(subset)):
-            loose = [c for c in range(dim) if c not in fixed]
-            # N_L x_L = -N_F x_F, one right-hand column per fixed x
-            solved = linalg.solve_integral(
-                [[row[c] for c in loose] for row in normals],
-                [[-row[c] for c in fixed] for row in normals])
-            if solved is None:
+        for fixed, values, key in _cube_points(subset, q):
+            if key in found:
                 continue
-            d, columns = solved
-            numerators = [0] * dim
-            for values in product((0, 1), repeat=len(fixed)):
-                for c, row in zip(loose, columns):
-                    numerators[c] = sum(compress(row, values))
-                if any(not 0 <= numerators[c] <= d for c in loose):
-                    continue
-                for c, v in zip(fixed, values):
-                    numerators[c] = v * d
-                g = gcd(d, *numerators)
-                key = (d // g, tuple(n // g for n in numerators))
-                if key in found:
-                    continue
-                fixations = tuple(
-                    Fixation("x" if c % 2 == 0 else "y", c // 2 + 1, v)
-                    for c, v in zip(fixed, values))
-                point = tuple(Fraction(n, d) for n in numerators)
-                found[key] = LatticeVertex(point, subset, fixations)
+            fixations = tuple(
+                Fixation("x" if c % 2 == 0 else "y", c // 2 + 1, v)
+                for c, v in zip(fixed, values))
+            d, numerators = key
+            point = tuple(Fraction(n, d) for n in numerators)
+            found[key] = LatticeVertex(point, subset, fixations)
     return sorted(found.values(), key=lambda vertex: vertex.point)
 
 
@@ -242,10 +280,42 @@ def denominator_lcm(vertices: Iterable[LatticeVertex]) -> int:
     return lcm(*(c.denominator for v in vertices for c in v.point), 1)
 
 
+def _orbit_representatives(q: int) -> Iterator[tuple[Edge, ...]]:
+    """Yield one independent set of each orbit of S_q x Z_2, the first
+    that :func:`independence_walk` reaches.
+
+    Relabelling the pieces permutes the hyperplanes, keeping each sign,
+    and the reflection x -> 1 - x swaps the two signs.  The walk's
+    independent sets are tested against a set of the images already
+    seen, as frozensets of edges; an unseen one is yielded, and all
+    2 q! of its images join the set.
+    """
+    # per group element, the image of each edge; perm[i - 1] is the new
+    # label of piece i
+    images = [{(i, j, sign): (*sorted((perm[i - 1], perm[j - 1])), flip * sign)
+               for i, j, sign in move_arrangement(q)}
+              for perm in permutations(range(1, q + 1)) for flip in (1, -1)]
+    seen: set[frozenset[Edge]] = set()
+    for subset, independent, _ in independence_walk(q):
+        if independent and frozenset(subset) not in seen:
+            yield subset
+            seen.update(frozenset(map(image.__getitem__, subset))
+                        for image in images)
+
+
 def period_upper_bound(q: int, *, bound: int = 3) -> int:
     """Geometric bound on the counting period: the denominator lcm of
-    the enumerated lattice vertices."""
-    return denominator_lcm(enumerate_lattice_vertices(q, bound=bound))
+    the lattice vertices, from one independent set per symmetry orbit
+    (:func:`_orbit_representatives`), each solved for every choice of
+    fixed coordinates.
+
+    Relabelling the pieces and x -> 1 - x map the arrangement to itself
+    and facets to facets, and keep every coordinate's denominator, so
+    the images of a set's systems have its vertices' denominators.
+    """
+    _check_vertex_search(q, bound)
+    return lcm(1, *{d for subset in _orbit_representatives(q)
+                     for _, _, (d, _) in _cube_points(subset, q)})
 
 
 @dataclass(frozen=True)

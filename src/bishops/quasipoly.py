@@ -120,12 +120,15 @@ class Quasipolynomial:
         """Value at any integer n; n % period in Python is already the
         least nonnegative residue, negative n included.  Horner runs in
         integers, and the one Fraction is built at the end."""
+        _require_int(n, "n")
         d, numerators = self._integral[n % self.period]
         return Fraction(_horner(numerators, n), d)
 
     def coefficient(self, i: int, r: int) -> Fraction:
         """gamma_i of the residue-r constituent, the coefficient of
         n^(degree - i)."""
+        _require_int(i, "coefficient index")
+        _require_int(r, "residue")
         if not 0 <= i <= self.degree:
             raise IndexError(f"coefficient index {i} outside 0..{self.degree}")
         if not 0 <= r < self.period:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import factorial
 from pathlib import Path
 
@@ -219,3 +219,43 @@ def reciprocity_sum(q: int, m: int, weight=factorial) -> int:
                 term *= weight(k)
         total += term
     return total
+
+
+# the eight symmetries of the unit square, as maps of one piece's (x, y)
+SQUARE_SYMMETRIES = (
+    lambda x, y: (x, y), lambda x, y: (1 - x, y),
+    lambda x, y: (x, 1 - y), lambda x, y: (1 - x, 1 - y),
+    lambda x, y: (y, x), lambda x, y: (1 - y, x),
+    lambda x, y: (y, 1 - x), lambda x, y: (1 - y, 1 - x),
+)
+
+
+def orbit_closure(points) -> set[tuple]:
+    """Every image of the points (x_1, y_1, ..., x_q, y_q) under
+    S_q x D_4: one symmetry of the unit square applied to every piece's
+    (x_i, y_i), then the pieces in any order.  Shares no code with
+    ``bishops.geometry``."""
+    closure = set()
+    for point in points:
+        pieces = list(zip(point[::2], point[1::2]))
+        for square in SQUARE_SYMMETRIES:
+            moved = [square(x, y) for x, y in pieces]
+            closure.update(tuple(c for piece in order for c in piece)
+                           for order in permutations(moved))
+    return closure
+
+
+def edge_set_orbit(subset, q: int) -> set[frozenset]:
+    """The images of a set of attack hyperplanes (i, j, sign) under
+    every relabelling of the q pieces, each with and without the
+    reflection x -> 1 - x, which turns x_i + y_i = x_j + y_j into
+    x_i - y_i = x_j - y_j and so negates every sign."""
+    orbit = set()
+    for labels in permutations(range(1, q + 1)):
+        for reflect in (False, True):
+            image = set()
+            for i, j, sign in subset:
+                a, b = sorted((labels[i - 1], labels[j - 1]))
+                image.add((a, b, -sign if reflect else sign))
+            orbit.add(frozenset(image))
+    return orbit

@@ -1,6 +1,8 @@
 """Arrangement geometry: normals, codimension, vertices, clique solves."""
 
+import os
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from math import factorial
 from random import Random
@@ -36,7 +38,9 @@ from bishops.geometry import LatticeVertex, independence_walk
 
 from helpers import (
     FIXTURE_FIXATION_COORDINATES,
+    edge_set_orbit,
     example_clique_fixture,
+    orbit_closure,
     per_subset_ranks,
     reference_det,
     reference_solve,
@@ -254,8 +258,14 @@ def solved_back(vertex, q):
     return solve_via_clique_graph(graph, vertex.fixations).point
 
 
+@cache
+def brute_force_vertices(q):
+    """The vertices of every independent set, enumerated once a run."""
+    return enumerate_lattice_vertices(q, bound=4)
+
+
 def test_vertices_four_pieces():
-    vertices = enumerate_lattice_vertices(4, bound=4)
+    vertices = brute_force_vertices(4)
     assert len(vertices) == 496
     assert all(0 <= c <= 1 for v in vertices for c in v.point)
     assert verify_half_integrality(vertices)
@@ -337,6 +347,63 @@ def test_period_upper_bound():
     assert period_upper_bound(1) == 1
     assert period_upper_bound(2) == 1
     assert period_upper_bound(3) == 2
+    with pytest.raises(EnumerationBoundExceeded,
+                       match="^vertex enumeration for q=4 is above the bound 3$"):
+        period_upper_bound(4)
+    with pytest.raises(ValueError, match="^q must be at least 1$"):
+        period_upper_bound(0)
+
+
+def representative_points(q):
+    """The points of the cube that the orbit representatives pin."""
+    return {tuple(Fraction(n, d) for n in numerators)
+            for subset in geometry._orbit_representatives(q)
+            for _, _, (d, numerators) in geometry._cube_points(subset, q)}
+
+
+@pytest.mark.parametrize("q", range(1, 5))
+def test_orbit_representatives_are_first_in_each_orbit(q):
+    # under relabelling and x -> 1 - x, taken by the reference action,
+    # the representatives are the first independent set of each orbit
+    # in walk order, and their orbits cover every independent set
+    independent = [subset for subset, m, _ in independence_walk(q) if m]
+    first, covered = [], set()
+    for subset in independent:
+        if frozenset(subset) not in covered:
+            first.append(subset)
+            covered |= edge_set_orbit(subset, q)
+    assert list(geometry._orbit_representatives(q)) == first
+    assert len(first) == (1, 3, 9, 55)[q - 1]
+    assert len(covered) == len(independent) == (1, 4, 49, 1444)[q - 1]
+
+
+@pytest.mark.parametrize("q", range(1, 5))
+def test_orbit_closure_of_representatives_is_the_vertex_set(q):
+    # S_q x D_4 maps vertices to vertices, so the representatives'
+    # vertices and their images are every vertex, and only vertices
+    expected = {vertex.point for vertex in brute_force_vertices(q)}
+    assert orbit_closure(representative_points(q)) == expected
+
+
+@pytest.mark.parametrize("q", range(1, 5))
+def test_period_upper_bound_matches_brute_force(q):
+    assert (period_upper_bound(q, bound=4)
+            == denominator_lcm(brute_force_vertices(q)) == (1, 1, 2, 2)[q - 1])
+
+
+def test_period_upper_bound_at_five_pieces():
+    # 466 representatives of the 84,681 independent sets
+    assert period_upper_bound(5, bound=5) == 2
+
+
+@pytest.mark.skipif(not os.environ.get("BISHOPS_SLOW"),
+                    reason="opt-in, about 40 s: set BISHOPS_SLOW=1")
+def test_orbit_closure_at_five_pieces():
+    # the brute force over every independent set took 943 s of CPU
+    points = orbit_closure(representative_points(5))
+    assert len(points) == 2704
+    assert sum(all(c.denominator == 1 for c in p) for p in points) == 1024
+    assert verify_half_integrality(LatticeVertex(p, (), ()) for p in points)
 
 
 def test_half_integrality_rejects_bad_points():

@@ -310,6 +310,10 @@ def incidence_transposes(draw):
 @example(([[1, 0, -1], [1, -1, 0], [0, 1, -1]], [[1], [2], [3]]))
 # the second row reduces to the pivot -2, which then clears the first
 @example(([[1, 1], [1, -1]], [[1, 0], [0, 1]]))
+# two components: the second row has nothing to clear in back
+# substitution, which leaves it as the forward pass left it
+@example(([[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1]],
+          [[1], [2], [3], [4]]))
 def test_solve_integral_on_incidence_transposes(system):
     rows, rhs = system
     size = len(rows)

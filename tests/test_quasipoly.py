@@ -13,9 +13,13 @@ from bishops import (
     InsufficientSamplesError,
     Quasipolynomial,
     count_bishops_fast,
+    count_unlabelled_naive,
+    enumerate_lattice_vertices,
     interpolate,
     interpolate_bishops,
     linalg,
+    matroid_check,
+    period_upper_bound,
     sample_counts,
 )
 
@@ -390,12 +394,31 @@ def test_interpolate_bishops_validation():
     (lambda: interpolate({n: n * n for n in range(1, 9)}, 2, 1.0), "period"),
     (lambda: interpolate_bishops(2, period=2.0), "period"),
     (lambda: interpolate_bishops(2.0), "q"),
+    (lambda: interpolate_bishops(3).evaluate(True), "n"),
+    (lambda: interpolate_bishops(3).evaluate(2.0), "n"),
+    (lambda: interpolate_bishops(3).coefficient(0.0, 0), "coefficient index"),
+    (lambda: interpolate_bishops(3).coefficient(0, True), "residue"),
+    (lambda: count_bishops_fast(2.0, 3), "q"),
+    (lambda: count_bishops_fast(2, True), "n"),
+    (lambda: count_unlabelled_naive(BISHOP, True, 3), "q"),
+    (lambda: count_unlabelled_naive(BISHOP, 2, 3.0), "n"),
+    (lambda: enumerate_lattice_vertices(2.0), "q"),
+    (lambda: enumerate_lattice_vertices(2, bound=3.0), "bound"),
+    (lambda: matroid_check(True), "q"),
+    (lambda: matroid_check(2, bound=4.0), "bound"),
+    (lambda: period_upper_bound(2.0), "q"),
+    (lambda: period_upper_bound(2, bound=True), "bound"),
 ], ids=["period", "degree", "bool-key", "interpolate-degree",
-        "interpolate-period", "bishops-period", "bishops-q"])
+        "interpolate-period", "bishops-period", "bishops-q", "evaluate-bool",
+        "evaluate-float", "coefficient-index", "coefficient-residue",
+        "fast-q", "fast-n", "naive-q", "naive-n", "vertices-q",
+        "vertices-bound", "matroid-q", "matroid-bound", "period-bound-q",
+        "period-bound-bound"])
 def test_integer_fields_refuse_floats_and_bools(build, message):
     # each compares equal to an int, but would index, slice or key as
-    # something else: a float period picks no constituent, and True
-    # would be taken as the sample at n = 1
+    # something else: a float period picks no constituent, True would
+    # be taken as the sample or the value at n = 1, and a float q or n
+    # sizes no list or range
     with pytest.raises(ValueError, match=f"^{message} must be an int"):
         build()
 
