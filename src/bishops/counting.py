@@ -41,6 +41,7 @@ def count_unlabelled_naive(rider: Rider, q: int, n: int,
     """
     _require_int(q, "q")
     _require_int(n, "n")
+    _require_int(node_budget, "node budget")
     if q < 0 or n < 0:
         raise ValueError("q and n must be nonnegative")
     if node_budget < 0:
@@ -155,6 +156,10 @@ def sample_counts(rider: Rider, q: int, n_from: int, n_to: int,
     updates against ``node_budget`` before it starts; the naive one
     counts each board size on its own, each within ``node_budget``.
     """
+    _require_int(q, "q")
+    _require_int(n_from, "n_from")
+    _require_int(n_to, "n_to")
+    _require_int(node_budget, "node budget")
     if not 0 <= n_from <= n_to:
         raise ValueError("need 0 <= n_from <= n_to")
     is_bishop = rider.moves == BISHOP.moves

@@ -13,16 +13,24 @@ row reduction and at most one union-find merge.  Lattice vertices of
 the inside-out unit cube are enumerated over the walk's independent sets,
 as integer numerators over one denominator per system with a
 ``Fraction`` only for a kept vertex, and checked for half-integrality
-by one predicate; the period bound runs the same per-set solve on one
-independent set per orbit of relabelling the pieces and x -> 1 - x.
-The clique-graph solve reconstructs a vertex from its fixations and
-checks once that its clique values are integers.
+by one predicate.  The period bound runs the same per-system solve and
+cube filter on one independent set per orbit of relabelling the pieces
+and x -> 1 - x, with two further reductions, each sound on its own.
+The swap x_i <-> y_i of every piece maps each attack equation to plus
+or minus itself and the cube to itself, so the fixed coordinates F and
+their swap image pin the same points up to that swap, with the same
+denominators: one of each pair is solved.  And every point of a system
+A X = D B has a denominator dividing D, so a system whose D divides
+the lcm found so far is not filtered.  The clique-graph solve
+reconstructs a vertex from its fixations and checks once that its
+clique values are integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
@@ -185,6 +193,65 @@ def _check_vertex_search(q: int, bound: int) -> None:
             f"vertex enumeration for q={q} is above the bound {bound}")
 
 
+@cache
+def _choices(count: int) -> tuple[tuple[int, ...], ...]:
+    """Every 0/1 value of ``count`` fixed coordinates, the first the
+    slowest bit."""
+    return tuple(product((0, 1), repeat=count))
+
+
+def _solve_fixed(normals: Sequence[Sequence[int]], fixed: Sequence[int],
+                 dim: int) -> tuple[list[int], int, list[list[int]]] | None:
+    """The system of ``normals`` with the coordinates ``fixed`` pinned,
+    solved for the loose ones: (loose coordinates, D, X), where loose
+    coordinate t equals X[t] . x_F / D for the fixed values x_F, or None
+    when the system is singular.  Every point of the system therefore
+    has a denominator dividing D."""
+    loose = [c for c in range(dim) if c not in fixed]
+    # N_L x_L = -N_F x_F, one right-hand column per fixed x
+    solved = linalg.solve_integral(
+        [[row[c] for c in loose] for row in normals],
+        [[-row[c] for c in fixed] for row in normals])
+    if solved is None:
+        return None
+    d, columns = solved
+    return loose, d, columns
+
+
+def _cube_filter(fixed: Sequence[int], loose: Sequence[int], d: int,
+                 columns: Sequence[Sequence[int]]) -> Iterator[
+        tuple[tuple[int, ...], tuple[int, tuple[int, ...]]]]:
+    """Yield (values, point) for each 0/1 choice of the ``fixed``
+    coordinates whose solution (see :func:`_solve_fixed`) lies in the
+    unit cube, the point in lowest terms as (denominator, numerators).
+
+    A loose coordinate's numerator under each choice of values is a
+    subset sum of its row of X.  Each row's subset sums are built once,
+    by doubling, and the choices are filtered against [0, D] one row at
+    a time, in the order of :func:`_choices`.
+    """
+    choices = _choices(len(fixed))
+    # per loose coordinate, its numerator under every choice
+    sums = []
+    for row in columns:
+        column = [0]
+        for entry in row:
+            column = [a + b for a in column for b in (0, entry)]
+        sums.append(column)
+    kept = range(len(choices))
+    for column in sums:
+        kept = [k for k in kept if 0 <= column[k] <= d]
+    numerators = [0] * (len(fixed) + len(loose))
+    for k in kept:
+        values = choices[k]
+        for c, column in zip(loose, sums):
+            numerators[c] = column[k]
+        for c, v in zip(fixed, values):
+            numerators[c] = v * d
+        g = gcd(d, *numerators)
+        yield values, (d // g, tuple(n // g for n in numerators))
+
+
 def _cube_points(subset: Sequence[Edge], q: int) -> Iterator[
         tuple[tuple[int, ...], tuple[int, ...], tuple[int, tuple[int, ...]]]]:
     """Yield (fixed coordinates, their 0/1 values, point) for each point of
@@ -192,47 +259,19 @@ def _cube_points(subset: Sequence[Edge], q: int) -> Iterator[
     2q - |subset| facet fixations, the point in lowest terms as
     (denominator, numerators).
 
-    Substituting the fixed coordinates leaves a k x k system on the
-    loose ones, eliminated once per choice of fixed coordinates into
-    integer numerators over one positive denominator D, so a loose
-    coordinate's numerator under each choice of values is a subset sum
-    of its row.  Each row's subset sums are built once, by doubling, and
-    the choices are filtered against [0, D] one row at a time.  A point
-    pinned by several choices is yielded for each, in the order of
-    ``product``.
+    Each choice of fixed coordinates is solved once
+    (:func:`_solve_fixed`) and its 0/1 values filtered to the cube
+    (:func:`_cube_filter`).  A point pinned by several choices is
+    yielded for each, fixed coordinates in the order of
+    ``combinations`` and values in the order of ``product``.
     """
     dim = 2 * q
     normals = [hyperplane_normal(h, q) for h in subset]
-    choices = list(product((0, 1), repeat=dim - len(subset)))
     for fixed in combinations(range(dim), dim - len(subset)):
-        loose = [c for c in range(dim) if c not in fixed]
-        # N_L x_L = -N_F x_F, one right-hand column per fixed x
-        solved = linalg.solve_integral(
-            [[row[c] for c in loose] for row in normals],
-            [[-row[c] for c in fixed] for row in normals])
-        if solved is None:
-            continue
-        d, columns = solved
-        # per loose coordinate, its numerator under every choice, in the
-        # order of choices: the first fixed value is the slowest bit
-        sums = []
-        for row in columns:
-            column = [0]
-            for entry in row:
-                column = [a + b for a in column for b in (0, entry)]
-            sums.append(column)
-        kept = range(len(choices))
-        for column in sums:
-            kept = [k for k in kept if 0 <= column[k] <= d]
-        numerators = [0] * dim
-        for k in kept:
-            values = choices[k]
-            for c, column in zip(loose, sums):
-                numerators[c] = column[k]
-            for c, v in zip(fixed, values):
-                numerators[c] = v * d
-            g = gcd(d, *numerators)
-            yield fixed, values, (d // g, tuple(n // g for n in numerators))
+        system = _solve_fixed(normals, fixed, dim)
+        if system is not None:
+            for values, point in _cube_filter(fixed, *system):
+                yield fixed, values, point
 
 
 def enumerate_lattice_vertices(q: int, *, bound: int = 3) -> list[LatticeVertex]:
@@ -306,16 +345,40 @@ def _orbit_representatives(q: int) -> Iterator[tuple[Edge, ...]]:
 def period_upper_bound(q: int, *, bound: int = 3) -> int:
     """Geometric bound on the counting period: the denominator lcm of
     the lattice vertices, from one independent set per symmetry orbit
-    (:func:`_orbit_representatives`), each solved for every choice of
-    fixed coordinates.
+    (:func:`_orbit_representatives`).
 
     Relabelling the pieces and x -> 1 - x map the arrangement to itself
     and facets to facets, and keep every coordinate's denominator, so
-    the images of a set's systems have its vertices' denominators.
+    the images of a set's systems have its vertices' denominators.  Two
+    reductions then skip work that cannot change the lcm L found so far:
+
+    - The swap x_i <-> y_i of every piece maps the equation of edge
+      (i, j, s) to s times itself, so it fixes every hyperplane, and it
+      maps the cube to itself.  The systems of fixed coordinates F and
+      of its swap image therefore have the same points up to that swap,
+      and the same denominators: only the one of each pair that sorts
+      first is solved.
+    - Every point of a system has a denominator dividing its D (see
+      :func:`_solve_fixed`), so a system whose D divides L is not
+      filtered to the cube.
     """
     _check_vertex_search(q, bound)
-    return lcm(1, *{d for subset in _orbit_representatives(q)
-                     for _, _, (d, _) in _cube_points(subset, q)})
+    dim = 2 * q
+    # per count of fixed coordinates, the sets that sort no later than
+    # their swap image; coordinate c of piece i swaps with c ^ 1
+    fixed_sets = [[fixed for fixed in combinations(range(dim), m)
+                   if tuple(sorted(c ^ 1 for c in fixed)) >= fixed]
+                  for m in range(dim + 1)]
+    period = 1
+    for subset in _orbit_representatives(q):
+        normals = [hyperplane_normal(h, q) for h in subset]
+        for fixed in fixed_sets[dim - len(subset)]:
+            system = _solve_fixed(normals, fixed, dim)
+            # system[1] is D, which every point's denominator divides
+            if system is not None and period % system[1]:
+                period = lcm(period, *(d for _, (d, _) in
+                                       _cube_filter(fixed, *system)))
+    return period
 
 
 @dataclass(frozen=True)

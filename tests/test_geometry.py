@@ -38,6 +38,7 @@ from bishops.geometry import LatticeVertex, independence_walk
 
 from helpers import (
     FIXTURE_FIXATION_COORDINATES,
+    SQUARE_SYMMETRIES,
     edge_set_orbit,
     example_clique_fixture,
     orbit_closure,
@@ -389,6 +390,60 @@ def test_orbit_closure_of_representatives_is_the_vertex_set(q):
 def test_period_upper_bound_matches_brute_force(q):
     assert (period_upper_bound(q, bound=4)
             == denominator_lcm(brute_force_vertices(q)) == (1, 1, 2, 2)[q - 1])
+
+
+def swap_pieces(point):
+    """(x_1, y_1, ..., x_q, y_q) with every (x_i, y_i) mapped by the
+    reference (x, y) -> (y, x)."""
+    swap = SQUARE_SYMMETRIES[4]
+    return tuple(c for x, y in zip(point[::2], point[1::2])
+                 for c in swap(x, y))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_swapped_fixations_pin_the_swapped_points(q):
+    # x_i <-> y_i fixes every attack hyperplane and the cube, so the
+    # points of a set with fixed coordinates F are the images of its
+    # points with F swapped: the premise of solving one of each pair
+    dim = 2 * q
+    for subset, independent, _ in independence_walk(q):
+        if not independent:
+            continue
+        points = {}
+        for fixed, _, (d, numerators) in geometry._cube_points(subset, q):
+            points.setdefault(fixed, set()).add(
+                tuple(Fraction(n, d) for n in numerators))
+        for fixed in combinations(range(dim), dim - len(subset)):
+            marks = swap_pieces(tuple(int(c in fixed) for c in range(dim)))
+            image = tuple(c for c, mark in enumerate(marks) if mark)
+            assert points.get(image, set()) == {
+                swap_pieces(point) for point in points.get(fixed, set())}
+
+
+def test_period_upper_bound_skips_systems_that_cannot_raise_it(monkeypatch):
+    # one solve per swap pair of fixed coordinates, and a cube filter
+    # only while the system's denominator does not divide the lcm: at
+    # q <= 4 the one filtered system is the first with D = 2
+    solves, filters = [], []
+    solve, cube_filter = linalg.solve_integral, geometry._cube_filter
+
+    def counted_solve(rows, rhs):
+        solves.append(len(rows))
+        return solve(rows, rhs)
+
+    def counted_filter(*system):
+        filters.append(system[2])
+        return cube_filter(*system)
+
+    monkeypatch.setattr(linalg, "solve_integral", counted_solve)
+    monkeypatch.setattr(geometry, "_cube_filter", counted_filter)
+    counts = []
+    for q in range(1, 5):
+        solves.clear()
+        filters.clear()
+        assert period_upper_bound(q, bound=4) == (1, 1, 2, 2)[q - 1]
+        counts.append((len(solves), filters[:]))
+    assert counts == [(1, []), (7, []), (69, [2]), (1457, [2])]
 
 
 def test_period_upper_bound_at_five_pieces():

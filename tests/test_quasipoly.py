@@ -402,6 +402,14 @@ def test_interpolate_bishops_validation():
     (lambda: count_bishops_fast(2, True), "n"),
     (lambda: count_unlabelled_naive(BISHOP, True, 3), "q"),
     (lambda: count_unlabelled_naive(BISHOP, 2, 3.0), "n"),
+    (lambda: count_unlabelled_naive(BISHOP, 2, 3, node_budget=1e9),
+     "node budget"),
+    (lambda: sample_counts(BISHOP, True, 1, 3), "q"),
+    (lambda: sample_counts(BISHOP, 2.0, 1, 3), "q"),
+    (lambda: sample_counts(BISHOP, 2, 1.0, 3), "n_from"),
+    (lambda: sample_counts(BISHOP, 2, 1, 3.0), "n_to"),
+    (lambda: sample_counts(BISHOP, 2, 1, 3, node_budget=True),
+     "node budget"),
     (lambda: enumerate_lattice_vertices(2.0), "q"),
     (lambda: enumerate_lattice_vertices(2, bound=3.0), "bound"),
     (lambda: matroid_check(True), "q"),
@@ -411,7 +419,9 @@ def test_interpolate_bishops_validation():
 ], ids=["period", "degree", "bool-key", "interpolate-degree",
         "interpolate-period", "bishops-period", "bishops-q", "evaluate-bool",
         "evaluate-float", "coefficient-index", "coefficient-residue",
-        "fast-q", "fast-n", "naive-q", "naive-n", "vertices-q",
+        "fast-q", "fast-n", "naive-q", "naive-n", "naive-budget",
+        "sample-bool-q", "sample-float-q", "sample-n-from", "sample-n-to",
+        "sample-budget", "vertices-q",
         "vertices-bound", "matroid-q", "matroid-bound", "period-bound-q",
         "period-bound-bound"])
 def test_integer_fields_refuse_floats_and_bools(build, message):
