@@ -344,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--bound", type=int, default=3,
                         help="largest q allowed for the geometric bound, "
                         "which solves one independent hyperplane set per "
-                        "symmetry orbit (q = 5 takes seconds)")
+                        "symmetry orbit (q = 5 takes about a second, q = 6 "
+                        "about a minute)")
     verify.set_defaults(handler=cmd_verify_period)
 
     vertices = commands.add_parser(

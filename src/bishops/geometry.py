@@ -15,14 +15,17 @@ as integer numerators over one denominator per system with a
 ``Fraction`` only for a kept vertex, and checked for half-integrality
 by one predicate.  The period bound runs the same per-system solve and
 cube filter on one independent set per orbit of relabelling the pieces
-and x -> 1 - x, with two further reductions, each sound on its own.
-The swap x_i <-> y_i of every piece maps each attack equation to plus
-or minus itself and the cube to itself, so the fixed coordinates F and
-their swap image pin the same points up to that swap, with the same
-denominators: one of each pair is solved.  And every point of a system
-A X = D B has a denominator dividing D, so a system whose D divides
-the lcm found so far is not filtered.  The clique-graph solve
-reconstructs a vertex from its fixations and checks once that its
+and x -> 1 - x.  In u = x + y, v = x - y an independent set is a pair
+of forests of K_q, one per sign, so the representatives are built
+directly as forest pairs, one per orbit, from an AHU canonical form of
+forests; the walk is not run.  Two further reductions are each sound
+on their own.  The swap x_i <-> y_i of every piece maps each attack
+equation to plus or minus itself and the cube to itself, so the fixed
+coordinates F and their swap image pin the same points up to that swap,
+with the same denominators: one of each pair is solved.  And every
+point of a system A X = D B has a denominator dividing D, so a system
+whose D divides the lcm found so far is not filtered.  The clique-graph
+solve reconstructs a vertex from its fixations and checks once that its
 clique values are integers.
 """
 
@@ -33,7 +36,8 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import linalg
 from .board import _require_int
@@ -200,22 +204,40 @@ def _choices(count: int) -> tuple[tuple[int, ...], ...]:
     return tuple(product((0, 1), repeat=count))
 
 
-def _solve_fixed(normals: Sequence[Sequence[int]], fixed: Sequence[int],
-                 dim: int) -> tuple[list[int], int, list[list[int]]] | None:
-    """The system of ``normals`` with the coordinates ``fixed`` pinned,
-    solved for the loose ones: (loose coordinates, D, X), where loose
+def _fixed_sets(dim: int, sets: Iterable[tuple[int, ...]]) -> list[
+        tuple[tuple[int, ...], list[int], Callable[..., tuple[int, ...]]]]:
+    """Each of the ``sets`` of fixed coordinates of ``dim``, with its
+    loose coordinates and the getter that takes a row [n | -n] of
+    :func:`_signed_rows` to [n_L | -n_F]."""
+    out = []
+    for fixed in sets:
+        loose = [c for c in range(dim) if c not in fixed]
+        out.append((fixed, loose,
+                    itemgetter(*loose, *(dim + c for c in fixed))))
+    return out
+
+
+def _signed_rows(subset: Iterable[Edge], q: int) -> list[tuple[int, ...]]:
+    """The row [n | -n] of each hyperplane's normal n."""
+    return [(*n, *(-a for a in n))
+            for n in (hyperplane_normal(h, q) for h in subset)]
+
+
+def _solve_fixed(signed: Sequence[Sequence[int]], loose: list[int],
+                 columns: Callable[..., tuple[int, ...]]
+                 ) -> tuple[list[int], int, list[list[int]]] | None:
+    """The system of the ``signed`` rows with every coordinate but the
+    ``loose`` ones pinned, solved for those (``columns`` is the getter
+    of :func:`_fixed_sets`): (loose coordinates, D, X), where loose
     coordinate t equals X[t] . x_F / D for the fixed values x_F, or None
     when the system is singular.  Every point of the system therefore
     has a denominator dividing D."""
-    loose = [c for c in range(dim) if c not in fixed]
     # N_L x_L = -N_F x_F, one right-hand column per fixed x
-    solved = linalg.solve_integral(
-        [[row[c] for c in loose] for row in normals],
-        [[-row[c] for c in fixed] for row in normals])
+    solved = linalg._solve_augmented(list(map(columns, signed)), len(loose))
     if solved is None:
         return None
-    d, columns = solved
-    return loose, d, columns
+    d, numerators = solved
+    return loose, d, numerators
 
 
 def _cube_filter(fixed: Sequence[int], loose: Sequence[int], d: int,
@@ -266,9 +288,10 @@ def _cube_points(subset: Sequence[Edge], q: int) -> Iterator[
     ``combinations`` and values in the order of ``product``.
     """
     dim = 2 * q
-    normals = [hyperplane_normal(h, q) for h in subset]
-    for fixed in combinations(range(dim), dim - len(subset)):
-        system = _solve_fixed(normals, fixed, dim)
+    signed = _signed_rows(subset, q)
+    for fixed, loose, columns in _fixed_sets(
+            dim, combinations(range(dim), dim - len(subset))):
+        system = _solve_fixed(signed, loose, columns)
         if system is not None:
             for values, point in _cube_filter(fixed, *system):
                 yield fixed, values, point
@@ -319,33 +342,111 @@ def denominator_lcm(vertices: Iterable[LatticeVertex]) -> int:
     return lcm(*(c.denominator for v in vertices for c in v.point), 1)
 
 
-def _orbit_representatives(q: int) -> Iterator[tuple[Edge, ...]]:
-    """Yield one independent set of each orbit of S_q x Z_2, the first
-    that :func:`independence_walk` reaches.
+def _forests(q: int) -> list[tuple[tuple[int, int], ...]]:
+    """Every labelled forest of K_q as its edges (i, j), i < j, grown
+    depth first in index order; an edge is added only when it joins two
+    trees, kept as class labels of the pieces."""
+    pairs = list(combinations(range(1, q + 1), 2))
+    forests = []
+    stack = [((), -1, tuple(range(q + 1)))]
+    while stack:
+        forest, last, labels = stack.pop()
+        forests.append(forest)
+        for k in range(len(pairs) - 1, last, -1):
+            i, j = pairs[k]
+            a, b = labels[i], labels[j]
+            if a != b:
+                stack.append(((*forest, (i, j)), k, tuple(
+                    a if label == b else label for label in labels)))
+    return forests
 
-    Relabelling the pieces permutes the hyperplanes, keeping each sign,
-    and the reflection x -> 1 - x swaps the two signs.  The walk's
-    independent sets are tested against a set of the images already
-    seen, as frozensets of edges; an unseen one is yielded, and all
-    2 q! of its images join the set.
+
+def _canonical_form(q: int, forest: Sequence[tuple[int, int]]
+                    ) -> tuple[tuple[str, ...], list[int]]:
+    """(type, order) of a forest of K_q.  The type is the sorted AHU codes
+    of its trees, each tree's the least over its roots, so isomorphic
+    forests, and only they, share it.  ``order`` lists the pieces tree
+    by tree in that order, each tree in preorder with children sorted by
+    code: for two forests of one type, order[k] -> order'[k] maps the
+    first onto the second."""
+    neighbours: list[list[int]] = [[] for _ in range(q + 1)]
+    for i, j in forest:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+
+    def rooted(v: int, parent: int) -> tuple[str, list[int]]:
+        children = sorted(rooted(w, v) for w in neighbours[v] if w != parent)
+        return ("(" + "".join(code for code, _ in children) + ")",
+                [v, *(u for _, order in children for u in order)])
+
+    trees, placed = [], set()
+    for v in range(1, q + 1):
+        if v not in placed:
+            first = rooted(v, 0)
+            tree = min([first, *(rooted(u, 0) for u in first[1][1:])])
+            placed.update(tree[1])
+            trees.append(tree)
+    trees.sort()
+    return (tuple(code for code, _ in trees),
+            [v for _, order in trees for v in order])
+
+
+def _relabel(forest: Iterable[tuple[int, int]],
+             label: Sequence[int]) -> frozenset[tuple[int, int]]:
+    """The forest with each piece i renamed label[i]."""
+    return frozenset((label[i], label[j]) if label[i] < label[j]
+                     else (label[j], label[i]) for i, j in forest)
+
+
+def _orbit_representatives(q: int) -> Iterator[tuple[Edge, ...]]:
+    """Yield one independent set of each orbit of S_q x Z_2, as a pair
+    of forests of K_q.
+
+    Write u_i = x_i + y_i and v_i = x_i - y_i: a positive edge says
+    u_i = u_j and a negative one v_i = v_j, so a set of hyperplanes is
+    independent exactly when its positive edges P and its negative
+    edges N are both forests.  Relabelling the pieces acts on P and N
+    together, and x -> 1 - x swaps them.  So P is taken as one forest of
+    each type (:func:`_canonical_form`), types in sorted order; N as one
+    forest of each orbit of Aut(P), the relabellings that fix P, among
+    the forests of P's type or a later one.  When N has P's type,
+    (P, N) ~ (N, P) ~ (P, N') for the relabelling that maps N onto P,
+    taken from the two forests' canonical orders, and the Aut(P)-orbits
+    of N and N' give one representative.
     """
-    # per group element, the image of each edge; perm[i - 1] is the new
-    # label of piece i
-    images = [{(i, j, sign): (*sorted((perm[i - 1], perm[j - 1])), flip * sign)
-               for i, j, sign in move_arrangement(q)}
-              for perm in permutations(range(1, q + 1)) for flip in (1, -1)]
-    seen: set[frozenset[Edge]] = set()
-    for subset, independent, _ in independence_walk(q):
-        if independent and frozenset(subset) not in seen:
-            yield subset
-            seen.update(frozenset(map(image.__getitem__, subset))
-                        for image in images)
+    types: dict[tuple[str, ...], list] = {}
+    for forest in _forests(q):
+        code, order = _canonical_form(q, forest)
+        types.setdefault(code, []).append((forest, order))
+    codes = sorted(types)
+    for t, code in enumerate(codes):
+        positive, order = types[code][0]
+        edges = frozenset(positive)
+        automorphisms = [label for label in (
+            (0, *perm) for perm in permutations(range(1, q + 1)))
+            if _relabel(positive, label) == edges]
+        seen: set[frozenset[tuple[int, int]]] = set()
+        for other in codes[t:]:
+            for negative, negative_order in types[other]:
+                if frozenset(negative) in seen:
+                    continue
+                yield tuple(sorted([*((i, j, POSITIVE) for i, j in positive),
+                                    *((i, j, NEGATIVE) for i, j in negative)]))
+                images = [negative]
+                if other == code:
+                    label = [0] * (q + 1)
+                    for a, b in zip(negative_order, order):
+                        label[a] = b
+                    images.append(_relabel(positive, label))
+                seen.update(_relabel(image, automorphism)
+                            for image in images
+                            for automorphism in automorphisms)
 
 
 def period_upper_bound(q: int, *, bound: int = 3) -> int:
     """Geometric bound on the counting period: the denominator lcm of
-    the lattice vertices, from one independent set per symmetry orbit
-    (:func:`_orbit_representatives`).
+    the lattice vertices, from one independent set per symmetry orbit,
+    a pair of forests built directly (:func:`_orbit_representatives`).
 
     Relabelling the pieces and x -> 1 - x map the arrangement to itself
     and facets to facets, and keep every coordinate's denominator, so
@@ -366,14 +467,15 @@ def period_upper_bound(q: int, *, bound: int = 3) -> int:
     dim = 2 * q
     # per count of fixed coordinates, the sets that sort no later than
     # their swap image; coordinate c of piece i swaps with c ^ 1
-    fixed_sets = [[fixed for fixed in combinations(range(dim), m)
-                   if tuple(sorted(c ^ 1 for c in fixed)) >= fixed]
-                  for m in range(dim + 1)]
+    fixed_sets = [_fixed_sets(dim, (
+        fixed for fixed in combinations(range(dim), m)
+        if tuple(sorted(c ^ 1 for c in fixed)) >= fixed))
+        for m in range(dim + 1)]
     period = 1
     for subset in _orbit_representatives(q):
-        normals = [hyperplane_normal(h, q) for h in subset]
-        for fixed in fixed_sets[dim - len(subset)]:
-            system = _solve_fixed(normals, fixed, dim)
+        signed = _signed_rows(subset, q)
+        for fixed, loose, columns in fixed_sets[dim - len(subset)]:
+            system = _solve_fixed(signed, loose, columns)
             # system[1] is D, which every point's denominator divides
             if system is not None and period % system[1]:
                 period = lcm(period, *(d for _, (d, _) in

@@ -6,11 +6,13 @@ whose pivot the new row is already zero, and divides the result by its
 content.  Every entry point here is a fold of it.  The matroid walk of
 :mod:`bishops.geometry` calls it directly; :func:`rank` (called only by
 the cross-checks of :mod:`bishops._testkit`) is the size of the basis;
-:func:`solve_integral`, behind vertex enumeration and the
-negative-1-forest solve of :mod:`bishops.signed_graph`, reduces the
-augmented rows and then each row against the rows below it, returning
-A^-1 B as integer numerators over one positive denominator, the lcm of
-the pivots; :func:`invert` divides that out.  :func:`det` tags row i
+:func:`solve_integral`, behind the negative-1-forest solve of
+:mod:`bishops.signed_graph`, reduces the augmented rows and then each
+row against the rows below it, returning A^-1 B as integer numerators
+over one positive denominator, the lcm of the pivots; :func:`invert`
+divides that out.  Vertex enumeration and the period bound build their
+augmented rows as equal-length ints and enter the same body past its
+checks, through ``_solve_augmented``.  :func:`det` tags row i
 with the unit vector e_i, so that tag column i holds the multiple t_i of
 row i in its reduced row, and is the sign of the pivot order times the
 product of pivot_i / t_i.  :func:`solve` folds the augmented rows and
@@ -155,6 +157,13 @@ def solve_integral(rows: Sequence[Sequence[Scalar]],
     m = _scale([[*row, *b] for row, b in zip(rows, rhs)])
     if any(len(row) != size for row in rows):
         raise ValueError("inversion requires a square matrix")
+    return _solve_augmented(m, size)
+
+
+def _solve_augmented(m: Sequence[Sequence[int]], size: int
+                     ) -> tuple[int, list[list[int]]] | None:
+    """:func:`solve_integral` on the augmented rows [A | B], ``size`` of
+    them, already equal-length ints: nothing is checked or copied."""
     basis: list[tuple[int, Sequence[int]]] = []
     for row in m:
         reduced = reduce_row(basis, row)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import factorial
+from math import factorial, prod
 from pathlib import Path
 
 from bishops import (
@@ -259,3 +259,79 @@ def edge_set_orbit(subset, q: int) -> set[frozenset]:
                 image.add((a, b, -sign if reflect else sign))
             orbit.add(frozenset(image))
     return orbit
+
+
+def _partitions(q: int, largest: int | None = None):
+    """The partitions of q into parts of at most ``largest``, parts in
+    decreasing order."""
+    if q == 0:
+        yield ()
+        return
+    for part in range(min(q, largest or q), 0, -1):
+        for rest in _partitions(q - part, part):
+            yield (part, *rest)
+
+
+def _fixed_forests(perm: tuple[int, ...]) -> Counter:
+    """Forests of K_q fixed by the permutation ``perm`` of 0..q-1, by
+    edge count: each is a union of the permutation's orbits on the
+    edges, a forest when each of its edges joins two components."""
+    q = len(perm)
+    orbits, placed = [], set()
+    for edge in combinations(range(q), 2):
+        orbit = []
+        while edge not in placed:
+            placed.add(edge)
+            orbit.append(edge)
+            edge = tuple(sorted(perm[v] for v in edge))
+        if orbit:
+            orbits.append(orbit)
+
+    def find(root: list[int], v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    counts: Counter = Counter()
+    for chosen in product((False, True), repeat=len(orbits)):
+        edges = [e for take, orbit in zip(chosen, orbits) if take
+                 for e in orbit]
+        root = list(range(q))
+        joins = 0
+        for i, j in edges:
+            a, b = find(root, i), find(root, j)
+            if a != b:
+                root[a] = b
+                joins += 1
+        if joins == len(edges):
+            counts[len(edges)] += 1
+    return counts
+
+
+def forest_pair_orbit_counts(q: int) -> dict[int, int]:
+    """Orbits of S_q x Z_2 on the pairs (P, N) of forests of K_q, by
+    |P| + |N|, with S_q relabelling both and Z_2 swapping them, by
+    Burnside's lemma over the cycle types of S_q: (sigma, 1) fixes the
+    pairs of forests sigma fixes, and (sigma, swap) fixes (P, sigma P)
+    for each forest P that sigma^2 fixes.  Shares no code with
+    ``bishops.geometry``."""
+    total: Counter = Counter()
+    for cycle_type in _partitions(q):
+        # a permutation of this cycle type, and how many there are
+        perm, start = [], 0
+        for length in cycle_type:
+            perm += [start + (k + 1) % length for k in range(length)]
+            start += length
+        multiplicity = Counter(cycle_type)
+        size = factorial(q) // prod(
+            length ** m * factorial(m) for length, m in multiplicity.items())
+        fixed = _fixed_forests(tuple(perm))
+        squared = _fixed_forests(tuple(perm[v] for v in perm))
+        for a, x in fixed.items():
+            for b, y in fixed.items():
+                total[a + b] += size * x * y
+        for a, x in squared.items():
+            total[2 * a] += size * x
+    group = 2 * factorial(q)
+    assert all(count % group == 0 for count in total.values())
+    return {s: total[s] // group for s in sorted(total)}

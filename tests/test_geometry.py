@@ -1,6 +1,7 @@
 """Arrangement geometry: normals, codimension, vertices, clique solves."""
 
 import os
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
@@ -41,6 +42,7 @@ from helpers import (
     SQUARE_SYMMETRIES,
     edge_set_orbit,
     example_clique_fixture,
+    forest_pair_orbit_counts,
     orbit_closure,
     per_subset_ranks,
     reference_det,
@@ -362,20 +364,31 @@ def representative_points(q):
             for _, _, (d, numerators) in geometry._cube_points(subset, q)}
 
 
-@pytest.mark.parametrize("q", range(1, 5))
-def test_orbit_representatives_are_first_in_each_orbit(q):
+@pytest.mark.parametrize("q", range(1, 6))
+def test_orbit_representatives_partition_the_independent_sets(q):
     # under relabelling and x -> 1 - x, taken by the reference action,
-    # the representatives are the first independent set of each orbit
-    # in walk order, and their orbits cover every independent set
-    independent = [subset for subset, m, _ in independence_walk(q) if m]
-    first, covered = [], set()
-    for subset in independent:
-        if frozenset(subset) not in covered:
-            first.append(subset)
-            covered |= edge_set_orbit(subset, q)
-    assert list(geometry._orbit_representatives(q)) == first
-    assert len(first) == (1, 3, 9, 55)[q - 1]
-    assert len(covered) == len(independent) == (1, 4, 49, 1444)[q - 1]
+    # the representatives' orbits are disjoint and together are exactly
+    # the independent sets that the walk finds
+    covered = set()
+    for subset in geometry._orbit_representatives(q):
+        orbit = edge_set_orbit(subset, q)
+        assert not orbit & covered
+        covered |= orbit
+    assert covered == {frozenset(subset)
+                       for subset, m, _ in independence_walk(q) if m}
+
+
+@pytest.mark.parametrize("q", range(1, 6))
+def test_orbit_representatives_match_burnside_counts(q):
+    sizes = Counter(map(len, geometry._orbit_representatives(q)))
+    assert sizes == forest_pair_orbit_counts(q)
+
+
+def test_burnside_counts_of_forest_pairs():
+    assert forest_pair_orbit_counts(5) == {
+        0: 1, 1: 1, 2: 5, 3: 11, 4: 37, 5: 69, 6: 129, 7: 128, 8: 85}
+    assert sum(forest_pair_orbit_counts(6).values()) == 6912
+    assert sum(1 for _ in geometry._orbit_representatives(6)) == 6912
 
 
 @pytest.mark.parametrize("q", range(1, 5))
@@ -420,35 +433,55 @@ def test_swapped_fixations_pin_the_swapped_points(q):
                 swap_pieces(point) for point in points.get(fixed, set())}
 
 
+def count_solves(monkeypatch) -> list[int]:
+    """A one-item list that counts the calls of the int-only solve."""
+    solves = [0]
+    solve = linalg._solve_augmented
+
+    def counted_solve(rows, size):
+        solves[0] += 1
+        return solve(rows, size)
+
+    monkeypatch.setattr(linalg, "_solve_augmented", counted_solve)
+    return solves
+
+
 def test_period_upper_bound_skips_systems_that_cannot_raise_it(monkeypatch):
     # one solve per swap pair of fixed coordinates, and a cube filter
     # only while the system's denominator does not divide the lcm: at
     # q <= 4 the one filtered system is the first with D = 2
-    solves, filters = [], []
-    solve, cube_filter = linalg.solve_integral, geometry._cube_filter
-
-    def counted_solve(rows, rhs):
-        solves.append(len(rows))
-        return solve(rows, rhs)
+    solves, filters = count_solves(monkeypatch), []
+    cube_filter = geometry._cube_filter
 
     def counted_filter(*system):
         filters.append(system[2])
         return cube_filter(*system)
 
-    monkeypatch.setattr(linalg, "solve_integral", counted_solve)
     monkeypatch.setattr(geometry, "_cube_filter", counted_filter)
     counts = []
     for q in range(1, 5):
-        solves.clear()
+        solves[0] = 0
         filters.clear()
         assert period_upper_bound(q, bound=4) == (1, 1, 2, 2)[q - 1]
-        counts.append((len(solves), filters[:]))
+        counts.append((solves[0], filters[:]))
     assert counts == [(1, []), (7, []), (69, [2]), (1457, [2])]
 
 
-def test_period_upper_bound_at_five_pieces():
+def test_period_upper_bound_at_five_pieces(monkeypatch):
     # 466 representatives of the 84,681 independent sets
+    solves = count_solves(monkeypatch)
     assert period_upper_bound(5, bound=5) == 2
+    assert solves == [37550]
+
+
+@pytest.mark.skipif(not os.environ.get("BISHOPS_SLOW"),
+                    reason="opt-in, about 60 s: set BISHOPS_SLOW=1")
+def test_period_upper_bound_at_six_pieces(monkeypatch):
+    # 6,912 representatives of the 8,596,624 independent sets, one
+    # system of each x <-> y pair of fixed-coordinate sets
+    solves = count_solves(monkeypatch)
+    assert period_upper_bound(6, bound=6) == 2
+    assert solves == [1434924]
 
 
 @pytest.mark.skipif(not os.environ.get("BISHOPS_SLOW"),

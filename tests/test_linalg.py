@@ -235,12 +235,14 @@ def test_invert_round_trip_fractions(rows):
 
 
 @st.composite
-def square_systems(draw):
-    """A square matrix up to 6 x 6, of ints or of ints and fractions,
-    sometimes with dependent rows, and 0-3 right-hand columns."""
+def square_systems(draw, elements=None):
+    """A square matrix up to 6 x 6, of ints or of ints and fractions
+    unless ``elements`` is given, sometimes with dependent rows, and 0-3
+    right-hand columns."""
     size = draw(st.integers(min_value=0, max_value=6))
     width = draw(st.integers(min_value=0, max_value=3))
-    elements = draw(st.sampled_from([small_int, entries]))
+    if elements is None:
+        elements = draw(st.sampled_from([small_int, entries]))
     rows = draw(square_matrices(size, elements))
     if draw(st.booleans()):
         make_dependent(draw, rows)
@@ -328,6 +330,24 @@ def test_solve_integral_on_incidence_transposes(system):
     for c, (_, status, point) in enumerate(references):
         assert status == linalg.UNIQUE
         assert [Fraction(row[c], d) for row in numerators] == point
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(square_systems(small_int), incidence_transposes()))
+@example(([], []))
+@example(([[0]], [[1]]))
+# a dependent first row: the second row's pivot falls in the rhs
+@example(([[1, 1], [1, 1]], [[0], [1]]))
+@example(([[1, -1, 0], [0, 1, -1], [1, 0, -1]], [[1, 0], [0, 1], [1, 2]]))
+# nonsingular, with back substitution into every row
+@example(([[1, 1], [1, -1]], [[1, 0], [0, 1]]))
+def test_int_entry_matches_solve_integral(system):
+    # the augmented int rows that vertex enumeration and the period
+    # bound build go through the same body past the checks
+    rows, rhs = system
+    augmented = [[*row, *b] for row, b in zip(rows, rhs)]
+    assert (linalg._solve_augmented(augmented, len(rows))
+            == linalg.solve_integral(rows, rhs))
 
 
 def test_ragged_rows_are_refused():
