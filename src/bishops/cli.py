@@ -352,7 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
         "vertices",
         help="enumerate the lattice vertices of the inside-out cube")
     vertices.add_argument("-q", type=int, required=True)
-    vertices.add_argument("--bound", type=int, default=3)
+    vertices.add_argument("--bound", type=int, default=3,
+                          help="largest q allowed for the enumeration, which "
+                          "maps the vertices of one independent hyperplane "
+                          "set per symmetry orbit by the symmetries (q = 4 "
+                          "takes a fraction of a second, q = 5 about 4 s)")
     vertices.add_argument("--format", choices=("pretty", "json"),
                           default="pretty")
     vertices.set_defaults(handler=cmd_vertices)

@@ -5,28 +5,22 @@ attack hyperplane is the signed-graph edge (i, j, sign) that names its
 equation, so a subset of the arrangement is a signed graph on the q
 pieces, whose sign-class forests give an independent route to every
 independence test made here.  The equation is written only in
-:func:`hyperplane_normal`, which the matroid walk, vertex enumeration
+:func:`hyperplane_normal`, which the matroid walk, the vertex searches
 and the clique-graph re-check all read.  The matroid check walks the
 independent sets and their one-hyperplane extensions depth first,
 deciding both independence bits of each subset from its parent's by one
-row reduction and at most one union-find merge.  Lattice vertices of
-the inside-out unit cube are enumerated over the walk's independent sets,
-as integer numerators over one denominator per system with a
-``Fraction`` only for a kept vertex, and checked for half-integrality
-by one predicate.  The period bound runs the same per-system solve and
-cube filter on one independent set per orbit of relabelling the pieces
-and x -> 1 - x.  In u = x + y, v = x - y an independent set is a pair
-of forests of K_q, one per sign, so the representatives are built
-directly as forest pairs, one per orbit, from an AHU canonical form of
-forests; the walk is not run.  Two further reductions are each sound
-on their own.  The swap x_i <-> y_i of every piece maps each attack
-equation to plus or minus itself and the cube to itself, so the fixed
-coordinates F and their swap image pin the same points up to that swap,
-with the same denominators: one of each pair is solved.  And every
-point of a system A X = D B has a denominator dividing D, so a system
-whose D divides the lcm found so far is not filtered.  The clique-graph
-solve reconstructs a vertex from its fixations and checks once that its
-clique values are integers.
+row reduction and at most one union-find merge.  In u = x + y,
+v = x - y an independent set is a pair of forests of K_q, one per sign,
+so one set per orbit of relabelling the pieces and x -> 1 - x is built
+directly as a forest pair, from an AHU canonical form of forests.  Both
+vertex searches solve those sets' systems, one of each x_i <-> y_i pair
+of fixed-coordinate sets, as integer numerators over one denominator
+per system, and filter them to the unit cube.  The period bound takes
+the lcm of the denominators, skipping each system whose denominator
+divides the lcm so far; vertex enumeration maps the points by the
+symmetries of the pieces and of the square, and finds each vertex's
+first defining set among the hyperplanes and facets through it.  The
+clique-graph solve rebuilds a vertex, checking its clique values once.
 """
 
 from __future__ import annotations
@@ -36,7 +30,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import linalg
@@ -204,17 +198,14 @@ def _choices(count: int) -> tuple[tuple[int, ...], ...]:
     return tuple(product((0, 1), repeat=count))
 
 
-def _fixed_sets(dim: int, sets: Iterable[tuple[int, ...]]) -> list[
+def _fixed_sets(dim: int, sets: Iterable[tuple[int, ...]]) -> Iterator[
         tuple[tuple[int, ...], list[int], Callable[..., tuple[int, ...]]]]:
     """Each of the ``sets`` of fixed coordinates of ``dim``, with its
     loose coordinates and the getter that takes a row [n | -n] of
     :func:`_signed_rows` to [n_L | -n_F]."""
-    out = []
     for fixed in sets:
         loose = [c for c in range(dim) if c not in fixed]
-        out.append((fixed, loose,
-                    itemgetter(*loose, *(dim + c for c in fixed))))
-    return out
+        yield fixed, loose, itemgetter(*loose, *(dim + c for c in fixed))
 
 
 def _signed_rows(subset: Iterable[Edge], q: int) -> list[tuple[int, ...]]:
@@ -225,27 +216,22 @@ def _signed_rows(subset: Iterable[Edge], q: int) -> list[tuple[int, ...]]:
 
 def _solve_fixed(signed: Sequence[Sequence[int]], loose: list[int],
                  columns: Callable[..., tuple[int, ...]]
-                 ) -> tuple[list[int], int, list[list[int]]] | None:
+                 ) -> tuple[int, list[list[int]]] | None:
     """The system of the ``signed`` rows with every coordinate but the
-    ``loose`` ones pinned, solved for those (``columns`` is the getter
-    of :func:`_fixed_sets`): (loose coordinates, D, X), where loose
-    coordinate t equals X[t] . x_F / D for the fixed values x_F, or None
-    when the system is singular.  Every point of the system therefore
-    has a denominator dividing D."""
+    ``loose`` ones pinned (``columns`` is the getter of
+    :func:`_fixed_sets`), solved as (D, X): loose coordinate t equals
+    X[t] . x_F / D for the fixed values x_F.  None when it is singular;
+    otherwise every point of it has a denominator dividing D."""
     # N_L x_L = -N_F x_F, one right-hand column per fixed x
-    solved = linalg._solve_augmented(list(map(columns, signed)), len(loose))
-    if solved is None:
-        return None
-    d, numerators = solved
-    return loose, d, numerators
+    return linalg._solve_augmented(list(map(columns, signed)), len(loose))
 
 
 def _cube_filter(fixed: Sequence[int], loose: Sequence[int], d: int,
                  columns: Sequence[Sequence[int]]) -> Iterator[
-        tuple[tuple[int, ...], tuple[int, tuple[int, ...]]]]:
-    """Yield (values, point) for each 0/1 choice of the ``fixed``
-    coordinates whose solution (see :func:`_solve_fixed`) lies in the
-    unit cube, the point in lowest terms as (denominator, numerators).
+        tuple[int, tuple[int, ...]]]:
+    """Yield each point of the unit cube that a 0/1 choice of the
+    ``fixed`` coordinates pins (see :func:`_solve_fixed`), in lowest
+    terms as (denominator, numerators).
 
     A loose coordinate's numerator under each choice of values is a
     subset sum of its row of X.  Each row's subset sums are built once,
@@ -265,67 +251,12 @@ def _cube_filter(fixed: Sequence[int], loose: Sequence[int], d: int,
         kept = [k for k in kept if 0 <= column[k] <= d]
     numerators = [0] * (len(fixed) + len(loose))
     for k in kept:
-        values = choices[k]
         for c, column in zip(loose, sums):
             numerators[c] = column[k]
-        for c, v in zip(fixed, values):
+        for c, v in zip(fixed, choices[k]):
             numerators[c] = v * d
         g = gcd(d, *numerators)
-        yield values, (d // g, tuple(n // g for n in numerators))
-
-
-def _cube_points(subset: Sequence[Edge], q: int) -> Iterator[
-        tuple[tuple[int, ...], tuple[int, ...], tuple[int, tuple[int, ...]]]]:
-    """Yield (fixed coordinates, their 0/1 values, point) for each point of
-    the unit cube that the independent ``subset`` pins together with
-    2q - |subset| facet fixations, the point in lowest terms as
-    (denominator, numerators).
-
-    Each choice of fixed coordinates is solved once
-    (:func:`_solve_fixed`) and its 0/1 values filtered to the cube
-    (:func:`_cube_filter`).  A point pinned by several choices is
-    yielded for each, fixed coordinates in the order of
-    ``combinations`` and values in the order of ``product``.
-    """
-    dim = 2 * q
-    signed = _signed_rows(subset, q)
-    for fixed, loose, columns in _fixed_sets(
-            dim, combinations(range(dim), dim - len(subset))):
-        system = _solve_fixed(signed, loose, columns)
-        if system is not None:
-            for values, point in _cube_filter(fixed, *system):
-                yield fixed, values, point
-
-
-def enumerate_lattice_vertices(q: int, *, bound: int = 3) -> list[LatticeVertex]:
-    """All vertices of the inside-out unit cube for q bishops.
-
-    Every choice of k independent hyperplanes (those that the matrix
-    route of :func:`independence_walk` calls independent) plus 2q - k facet
-    fixations (values 0 or 1) whose system has a unique solution
-    contributes its solution, filtered to the cube (see
-    :func:`_cube_points`); a ``Fraction`` is built only for a vertex
-    that is kept.  Points reachable from several defining sets are kept
-    once, with the first defining set in iteration order; the result is
-    sorted by coordinates, so it is deterministic.
-    """
-    _check_vertex_search(q, bound)
-    # keyed by the point in lowest terms: (denominator, numerators)
-    found: dict[tuple[int, tuple[int, ...]], LatticeVertex] = {}
-    # the walk yields subsets in index order, which a stable sort by
-    # size turns into combinations() order, size by size
-    for subset in sorted((s for s, m, _ in independence_walk(q) if m),
-                         key=len):
-        for fixed, values, key in _cube_points(subset, q):
-            if key in found:
-                continue
-            fixations = tuple(
-                Fixation("x" if c % 2 == 0 else "y", c // 2 + 1, v)
-                for c, v in zip(fixed, values))
-            d, numerators = key
-            point = tuple(Fraction(n, d) for n in numerators)
-            found[key] = LatticeVertex(point, subset, fixations)
-    return sorted(found.values(), key=lambda vertex: vertex.point)
+        yield d // g, tuple(n // g for n in numerators)
 
 
 def verify_half_integrality(vertices: Iterable[LatticeVertex]) -> bool:
@@ -443,44 +374,109 @@ def _orbit_representatives(q: int) -> Iterator[tuple[Edge, ...]]:
                             for automorphism in automorphisms)
 
 
-def period_upper_bound(q: int, *, bound: int = 3) -> int:
-    """Geometric bound on the counting period: the denominator lcm of
-    the lattice vertices, from one independent set per symmetry orbit,
-    a pair of forests built directly (:func:`_orbit_representatives`).
-
-    Relabelling the pieces and x -> 1 - x map the arrangement to itself
-    and facets to facets, and keep every coordinate's denominator, so
-    the images of a set's systems have its vertices' denominators.  Two
-    reductions then skip work that cannot change the lcm L found so far:
-
-    - The swap x_i <-> y_i of every piece maps the equation of edge
-      (i, j, s) to s times itself, so it fixes every hyperplane, and it
-      maps the cube to itself.  The systems of fixed coordinates F and
-      of its swap image therefore have the same points up to that swap,
-      and the same denominators: only the one of each pair that sorts
-      first is solved.
-    - Every point of a system has a denominator dividing its D (see
-      :func:`_solve_fixed`), so a system whose D divides L is not
-      filtered to the cube.
-    """
-    _check_vertex_search(q, bound)
+def _representative_systems(q: int) -> Iterator[
+        tuple[tuple[int, ...], list[int], int, list[list[int]]]]:
+    """Yield (fixed coordinates F, loose coordinates, D, X) for each
+    nonsingular system (:func:`_solve_fixed`) of each orbit
+    representative (:func:`_orbit_representatives`), of only the F of
+    each pair {F, F with every x_i <-> y_i} that sorts first: that swap
+    maps each attack equation to plus or minus itself and the cube to
+    itself, so F's swap image pins the swapped points of F."""
     dim = 2 * q
     # per count of fixed coordinates, the sets that sort no later than
     # their swap image; coordinate c of piece i swaps with c ^ 1
-    fixed_sets = [_fixed_sets(dim, (
+    fixed_sets = [list(_fixed_sets(dim, (
         fixed for fixed in combinations(range(dim), m)
-        if tuple(sorted(c ^ 1 for c in fixed)) >= fixed))
+        if tuple(sorted(c ^ 1 for c in fixed)) >= fixed)))
         for m in range(dim + 1)]
-    period = 1
     for subset in _orbit_representatives(q):
         signed = _signed_rows(subset, q)
         for fixed, loose, columns in fixed_sets[dim - len(subset)]:
             system = _solve_fixed(signed, loose, columns)
-            # system[1] is D, which every point's denominator divides
-            if system is not None and period % system[1]:
-                period = lcm(period, *(d for _, (d, _) in
-                                       _cube_filter(fixed, *system)))
+            if system is not None:
+                yield fixed, loose, *system
+
+
+def period_upper_bound(q: int, *, bound: int = 3) -> int:
+    """Geometric bound on the counting period: the denominator lcm of
+    the lattice vertices, from the systems of one independent set per
+    symmetry orbit (:func:`_representative_systems`).  Those symmetries
+    keep every coordinate's denominator, and every point of a system has
+    a denominator dividing its D, so a system whose D divides the lcm
+    found so far is not filtered to the cube.
+    """
+    _check_vertex_search(q, bound)
+    period = 1
+    for system in _representative_systems(q):
+        # system[2] is D, which every point's denominator divides
+        if period % system[2]:
+            period = lcm(period, *(d for d, _ in _cube_filter(*system)))
     return period
+
+
+def _square_closure(points: Iterable[tuple[int, tuple[int, ...]]]
+                    ) -> set[tuple[int, tuple[int, ...]]]:
+    """Every image of the points (D, numerators) under S_q x D_4: one
+    symmetry of the square [0, D]^2, composed of x -> D - x, y -> D - y
+    and x <-> y, applied to every piece, then the pieces in any order.
+    Each image is in lowest terms when its point is."""
+    closed: set[tuple[int, tuple[int, ...]]] = set()
+    for point in points:
+        if point in closed:
+            continue
+        d, numerators = point
+        pieces = list(zip(numerators[::2], numerators[1::2]))
+        for swap, flip_x, flip_y in product((False, True), repeat=3):
+            moved = [(d - x if flip_x else x, d - y if flip_y else y)
+                     for x, y in ((b, a) if swap else (a, b)
+                                  for a, b in pieces)]
+            closed.update((d, tuple(c for piece in order for c in piece))
+                          for order in permutations(moved))
+    return closed
+
+
+def _defining_sets(q: int, point: tuple[int, tuple[int, ...]]) -> Iterator[
+        tuple[tuple[Edge, ...], tuple[int, ...]]]:
+    """Yield (hyperplanes, fixed coordinates) of each system that pins
+    the cube point (D, numerators), in the order of a walk over every
+    independent set and every fixed set: fewest hyperplanes first, then
+    both in ``combinations`` order.  Such a system takes only hyperplanes
+    through the point and facets it lies on, with the point's own 0/1
+    values, and it pins the point exactly when it is nonsingular."""
+    d, numerators = point
+    dim = 2 * q
+    through = [h for h in move_arrangement(q)
+               if not sum(map(mul, hyperplane_normal(h, q), numerators))]
+    facets = [c for c in range(dim) if numerators[c] in (0, d)]
+    for k in range(dim - len(facets), min(len(through), dim) + 1):
+        for subset in combinations(through, k):
+            signed = _signed_rows(subset, q)
+            for fixed, loose, columns in _fixed_sets(
+                    dim, combinations(facets, dim - k)):
+                if _solve_fixed(signed, loose, columns) is not None:
+                    yield subset, fixed
+
+
+def enumerate_lattice_vertices(q: int, *, bound: int = 3) -> list[LatticeVertex]:
+    """All vertices of the inside-out unit cube for q bishops, sorted by
+    point, each with its first defining set (:func:`_defining_sets`).
+    Relabelling the pieces and a symmetry of the unit square applied to
+    every piece map the arrangement and the cube to themselves, so the
+    vertices are the closure (:func:`_square_closure`) of the cube
+    points of the representative systems (:func:`_representative_systems`).
+    """
+    _check_vertex_search(q, bound)
+    points = {point for system in _representative_systems(q)
+              for point in _cube_filter(*system)}
+    vertices = []
+    for point in _square_closure(points):
+        d, numerators = point
+        subset, fixed = next(_defining_sets(q, point))
+        vertices.append(LatticeVertex(
+            tuple(Fraction(n, d) for n in numerators), subset, tuple(
+                Fixation("x" if c % 2 == 0 else "y", c // 2 + 1,
+                         numerators[c] // d) for c in fixed)))
+    return sorted(vertices, key=lambda vertex: vertex.point)
 
 
 @dataclass(frozen=True)

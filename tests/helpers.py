@@ -11,14 +11,17 @@ from pathlib import Path
 from bishops import (
     NEGATIVE,
     POSITIVE,
+    Fixation,
     Rider,
     SignedGraph,
     Square,
     attacks,
+    geometry,
     hyperplane_normal,
     linalg,
     signed_cliques,
 )
+from bishops.geometry import LatticeVertex, independence_walk
 
 DATA_DIR = Path(__file__).parent / "data"
 # the riders the benchmark's census workload counts naively
@@ -243,6 +246,46 @@ def orbit_closure(points) -> set[tuple]:
             closure.update(tuple(c for piece in order for c in piece)
                            for order in permutations(moved))
     return closure
+
+
+def cube_points(subset, q: int):
+    """Yield (fixed coordinates, point) for each point of the unit cube
+    that the independent ``subset`` pins with 2q - |subset| facet
+    fixations, the point as (denominator, numerators) in lowest terms:
+    every set of fixed coordinates, in ``combinations`` order, through
+    the per-system solve and cube filter of ``bishops.geometry``."""
+    dim = 2 * q
+    signed = geometry._signed_rows(subset, q)
+    for fixed, loose, columns in geometry._fixed_sets(
+            dim, combinations(range(dim), dim - len(subset))):
+        system = geometry._solve_fixed(signed, loose, columns)
+        if system is not None:
+            for point in geometry._cube_filter(fixed, loose, *system):
+                yield fixed, point
+
+
+def walk_vertices(q: int) -> list:
+    """The lattice vertices by brute force: every independent set that
+    ``independence_walk`` finds, fewest hyperplanes first and then in
+    ``combinations`` order, with each of its sets of fixed coordinates
+    (:func:`cube_points`).  Each point keeps the first defining set that
+    pins it; the fixed values are its own 0/1 coordinates.  Of
+    ``bishops.geometry`` it shares only the per-system solve and cube
+    filter: not the orbit representatives, the symmetry closure or the
+    defining-set search."""
+    found = {}
+    # the walk yields subsets in index order, which a stable sort by
+    # size turns into combinations() order, size by size
+    for subset in sorted((s for s, m, _ in independence_walk(q) if m),
+                         key=len):
+        for fixed, point in cube_points(subset, q):
+            if point not in found:
+                d, numerators = point
+                found[point] = LatticeVertex(
+                    tuple(Fraction(n, d) for n in numerators), subset,
+                    tuple(Fixation("x" if c % 2 == 0 else "y", c // 2 + 1,
+                                   numerators[c] // d) for c in fixed))
+    return sorted(found.values(), key=lambda vertex: vertex.point)
 
 
 def edge_set_orbit(subset, q: int) -> set[frozenset]:

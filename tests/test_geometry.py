@@ -40,6 +40,7 @@ from bishops.geometry import LatticeVertex, independence_walk
 from helpers import (
     FIXTURE_FIXATION_COORDINATES,
     SQUARE_SYMMETRIES,
+    cube_points,
     edge_set_orbit,
     example_clique_fixture,
     forest_pair_orbit_counts,
@@ -47,6 +48,7 @@ from helpers import (
     per_subset_ranks,
     reference_det,
     reference_solve,
+    walk_vertices,
 )
 
 F = Fraction
@@ -198,8 +200,9 @@ def test_region_count_is_u_at_minus_one(q):
 
 @pytest.mark.parametrize("q", range(1, 5))
 def test_walk_gives_independent_sets_in_combinations_order(q):
-    # vertex enumeration keeps the first defining set of each point, so
-    # its order of independent sets is part of its output
+    # the brute-force vertex oracle, helpers.walk_vertices, keeps the
+    # first defining set of each point in this order of independent
+    # sets; vertex enumeration itself no longer walks
     walked = sorted((subset for subset, independent, _
                      in independence_walk(q) if independent), key=len)
     direct = [subset for k in range(2 * q + 1)
@@ -263,12 +266,27 @@ def solved_back(vertex, q):
 
 @cache
 def brute_force_vertices(q):
-    """The vertices of every independent set, enumerated once a run."""
-    return enumerate_lattice_vertices(q, bound=4)
+    """The vertices of every independent set and every fixed set
+    (``helpers.walk_vertices``), enumerated once a run."""
+    return walk_vertices(q)
+
+
+@cache
+def five_piece_vertices():
+    """``enumerate_lattice_vertices(5, bound=5)``, once a run."""
+    return enumerate_lattice_vertices(5, bound=5)
+
+
+@pytest.mark.parametrize("q", range(1, 5))
+def test_vertices_match_the_walk(q):
+    # LatticeVertex equality covers points, hyperplanes and fixations:
+    # the symmetry closure finds every vertex and the local search its
+    # first defining set in the brute force's order
+    assert enumerate_lattice_vertices(q, bound=4) == brute_force_vertices(q)
 
 
 def test_vertices_four_pieces():
-    vertices = brute_force_vertices(4)
+    vertices = enumerate_lattice_vertices(4, bound=4)
     assert len(vertices) == 496
     assert all(0 <= c <= 1 for v in vertices for c in v.point)
     assert verify_half_integrality(vertices)
@@ -358,10 +376,11 @@ def test_period_upper_bound():
 
 
 def representative_points(q):
-    """The points of the cube that the orbit representatives pin."""
+    """The points of the cube that the orbit representatives' systems
+    pin, one fixed-coordinate set of each x <-> y pair."""
     return {tuple(Fraction(n, d) for n in numerators)
-            for subset in geometry._orbit_representatives(q)
-            for _, _, (d, numerators) in geometry._cube_points(subset, q)}
+            for system in geometry._representative_systems(q)
+            for d, numerators in geometry._cube_filter(*system)}
 
 
 @pytest.mark.parametrize("q", range(1, 6))
@@ -393,10 +412,25 @@ def test_burnside_counts_of_forest_pairs():
 
 @pytest.mark.parametrize("q", range(1, 5))
 def test_orbit_closure_of_representatives_is_the_vertex_set(q):
-    # S_q x D_4 maps vertices to vertices, so the representatives'
-    # vertices and their images are every vertex, and only vertices
+    # S_q x D_4 maps vertices to vertices, and x <-> y is in D_4, so the
+    # vertices of the representatives' systems, one of each swap pair,
+    # and their images by the reference action are every vertex, and
+    # only vertices
     expected = {vertex.point for vertex in brute_force_vertices(q)}
     assert orbit_closure(representative_points(q)) == expected
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_square_closure_is_the_reference_orbit(q):
+    # each vertex's images alone, against the reference S_q x D_4
+    # action: the representatives' points already meet every S_q orbit
+    # of vertices at q <= 5, so the vertex sets alone do not pin D_4
+    for vertex in brute_force_vertices(q):
+        d = denominator_lcm([vertex])
+        images = geometry._square_closure(
+            [(d, tuple(int(c * d) for c in vertex.point))])
+        assert {tuple(Fraction(n, e) for n in numerators)
+                for e, numerators in images} == orbit_closure([vertex.point])
 
 
 @pytest.mark.parametrize("q", range(1, 5))
@@ -423,7 +457,7 @@ def test_swapped_fixations_pin_the_swapped_points(q):
         if not independent:
             continue
         points = {}
-        for fixed, _, (d, numerators) in geometry._cube_points(subset, q):
+        for fixed, (d, numerators) in cube_points(subset, q):
             points.setdefault(fixed, set()).add(
                 tuple(Fraction(n, d) for n in numerators))
         for fixed in combinations(range(dim), dim - len(subset)):
@@ -484,14 +518,24 @@ def test_period_upper_bound_at_six_pieces(monkeypatch):
     assert solves == [1434924]
 
 
-@pytest.mark.skipif(not os.environ.get("BISHOPS_SLOW"),
-                    reason="opt-in, about 40 s: set BISHOPS_SLOW=1")
-def test_orbit_closure_at_five_pieces():
+def test_vertices_at_five_pieces():
     # the brute force over every independent set took 943 s of CPU
-    points = orbit_closure(representative_points(5))
-    assert len(points) == 2704
-    assert sum(all(c.denominator == 1 for c in p) for p in points) == 1024
-    assert verify_half_integrality(LatticeVertex(p, (), ()) for p in points)
+    vertices = five_piece_vertices()
+    assert len(vertices) == 2704
+    assert sum(all(c.denominator == 1 for c in v.point)
+               for v in vertices) == 1024
+    assert denominator_lcm(vertices) == 2
+    assert verify_half_integrality(vertices)
+    assert all(solved_back(v, 5) == v.point for v in vertices)
+
+
+@pytest.mark.skipif(not os.environ.get("BISHOPS_SLOW"),
+                    reason="opt-in, about 30 s: set BISHOPS_SLOW=1")
+def test_orbit_closure_at_five_pieces():
+    # the closure by the reference action of the representatives'
+    # points, against the closure that vertex enumeration computes
+    assert orbit_closure(representative_points(5)) == {
+        vertex.point for vertex in five_piece_vertices()}
 
 
 def test_half_integrality_rejects_bad_points():
