@@ -12,10 +12,12 @@ deciding both independence bits of each subset from its parent's by one
 row reduction and at most one union-find merge.  In u = x + y,
 v = x - y an independent set is a pair of forests of K_q, one per sign,
 so one set per orbit of relabelling the pieces and x -> 1 - x is built
-directly as a forest pair, from an AHU canonical form of forests.  Both
-vertex searches solve those sets' systems, one of each x_i <-> y_i pair
-of fixed-coordinate sets, as integer numerators over one denominator
-per system, and filter them to the unit cube.  The period bound takes
+directly as a forest pair, from an AHU canonical form of the forests
+that the same walk finds among the positive hyperplanes.  Both vertex
+searches solve those sets' systems, one of each x_i <-> y_i pair of
+fixed-coordinate sets, through one generator of the nonsingular
+systems, as integer numerators over one denominator per system, and
+filter them to the unit cube.  The period bound takes
 the lcm of the denominators, skipping each system whose denominator
 divides the lcm so far; vertex enumeration maps the points by the
 symmetries of the pieces and of the square, and finds each vertex's
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import combinations, permutations, product
 from math import gcd, lcm
 from operator import itemgetter, mul
@@ -100,11 +101,17 @@ def independence_walk(q: int) -> Iterator[tuple[tuple[Edge, ...], bool, bool]]:
     on which the routes disagree extends one on which they agree, so
     the walked subsets decide the rank identity on every subset.
     """
+    return _walk(move_arrangement(q), q)
+
+
+def _walk(hyperplanes: Sequence[Edge], q: int) -> Iterator[
+        tuple[tuple[Edge, ...], bool, bool]]:
+    """:func:`independence_walk` over the ``hyperplanes`` alone."""
     # per hyperplane: its normal, and the two nodes it joins; the labels
     # of both union-finds share one tuple, nodes 0..q-1 being the pieces
     # in the positive class and q..2q-1 those in the negative
     steps = []
-    for edge in move_arrangement(q):
+    for edge in hyperplanes:
         i, j, sign = edge
         offset = 0 if sign == POSITIVE else q
         steps.append((edge, hyperplane_normal(edge, q),
@@ -191,13 +198,6 @@ def _check_vertex_search(q: int, bound: int) -> None:
             f"vertex enumeration for q={q} is above the bound {bound}")
 
 
-@cache
-def _choices(count: int) -> tuple[tuple[int, ...], ...]:
-    """Every 0/1 value of ``count`` fixed coordinates, the first the
-    slowest bit."""
-    return tuple(product((0, 1), repeat=count))
-
-
 def _fixed_sets(dim: int, sets: Iterable[tuple[int, ...]]) -> Iterator[
         tuple[tuple[int, ...], list[int], Callable[..., tuple[int, ...]]]]:
     """Each of the ``sets`` of fixed coordinates of ``dim``, with its
@@ -208,37 +208,43 @@ def _fixed_sets(dim: int, sets: Iterable[tuple[int, ...]]) -> Iterator[
         yield fixed, loose, itemgetter(*loose, *(dim + c for c in fixed))
 
 
-def _signed_rows(subset: Iterable[Edge], q: int) -> list[tuple[int, ...]]:
-    """The row [n | -n] of each hyperplane's normal n."""
-    return [(*n, *(-a for a in n))
-            for n in (hyperplane_normal(h, q) for h in subset)]
+def _signed_rows(q: int) -> dict[Edge, tuple[int, ...]]:
+    """The row [n | -n] of each hyperplane's normal n, by hyperplane, in
+    the order of :func:`move_arrangement`."""
+    return {h: (*n, *(-a for a in n))
+            for h in move_arrangement(q) for n in [hyperplane_normal(h, q)]}
 
 
-def _solve_fixed(signed: Sequence[Sequence[int]], loose: list[int],
-                 columns: Callable[..., tuple[int, ...]]
-                 ) -> tuple[int, list[list[int]]] | None:
-    """The system of the ``signed`` rows with every coordinate but the
-    ``loose`` ones pinned (``columns`` is the getter of
-    :func:`_fixed_sets`), solved as (D, X): loose coordinate t equals
-    X[t] . x_F / D for the fixed values x_F.  None when it is singular;
-    otherwise every point of it has a denominator dividing D."""
-    # N_L x_L = -N_F x_F, one right-hand column per fixed x
-    return linalg._solve_augmented(list(map(columns, signed)), len(loose))
+def _systems(rows: Sequence[Sequence[int]], fixed_sets: Iterable[
+        tuple[tuple[int, ...], list[int], Callable[..., tuple[int, ...]]]]
+             ) -> Iterator[tuple[tuple[int, ...], list[int], int,
+                                 list[list[int]]]]:
+    """Yield (F, loose coordinates, D, X) for each set F of the
+    ``fixed_sets`` (:func:`_fixed_sets`) that pins, with the ``rows``
+    [n | -n], one point per value of the fixed coordinates x_F: loose
+    coordinate t is X[t] . x_F / D, so every point of it has a
+    denominator dividing D.  The singular systems are skipped."""
+    for fixed, loose, columns in fixed_sets:
+        # N_L x_L = -N_F x_F, one right-hand column per fixed x
+        system = linalg._solve_augmented(list(map(columns, rows)), len(loose))
+        if system is not None:
+            yield fixed, loose, *system
 
 
 def _cube_filter(fixed: Sequence[int], loose: Sequence[int], d: int,
                  columns: Sequence[Sequence[int]]) -> Iterator[
         tuple[int, tuple[int, ...]]]:
     """Yield each point of the unit cube that a 0/1 choice of the
-    ``fixed`` coordinates pins (see :func:`_solve_fixed`), in lowest
-    terms as (denominator, numerators).
+    ``fixed`` coordinates pins (see :func:`_systems`), in lowest terms as
+    (denominator, numerators).
 
     A loose coordinate's numerator under each choice of values is a
     subset sum of its row of X.  Each row's subset sums are built once,
     by doubling, and the choices are filtered against [0, D] one row at
-    a time, in the order of :func:`_choices`.
+    a time.  Choice k gives fixed coordinate t the bit m - 1 - t of k,
+    m the number of fixed coordinates.
     """
-    choices = _choices(len(fixed))
+    m = len(fixed)
     # per loose coordinate, its numerator under every choice
     sums = []
     for row in columns:
@@ -246,15 +252,15 @@ def _cube_filter(fixed: Sequence[int], loose: Sequence[int], d: int,
         for entry in row:
             column = [a + b for a in column for b in (0, entry)]
         sums.append(column)
-    kept = range(len(choices))
+    kept = range(2 ** m)
     for column in sums:
         kept = [k for k in kept if 0 <= column[k] <= d]
     numerators = [0] * (len(fixed) + len(loose))
     for k in kept:
         for c, column in zip(loose, sums):
             numerators[c] = column[k]
-        for c, v in zip(fixed, choices[k]):
-            numerators[c] = v * d
+        for t, c in enumerate(fixed):
+            numerators[c] = (k >> (m - 1 - t) & 1) * d
         g = gcd(d, *numerators)
         yield d // g, tuple(n // g for n in numerators)
 
@@ -271,25 +277,6 @@ def denominator_lcm(vertices: Iterable[LatticeVertex]) -> int:
     """Least common multiple of every coordinate denominator; 1 when the
     collection is empty."""
     return lcm(*(c.denominator for v in vertices for c in v.point), 1)
-
-
-def _forests(q: int) -> list[tuple[tuple[int, int], ...]]:
-    """Every labelled forest of K_q as its edges (i, j), i < j, grown
-    depth first in index order; an edge is added only when it joins two
-    trees, kept as class labels of the pieces."""
-    pairs = list(combinations(range(1, q + 1), 2))
-    forests = []
-    stack = [((), -1, tuple(range(q + 1)))]
-    while stack:
-        forest, last, labels = stack.pop()
-        forests.append(forest)
-        for k in range(len(pairs) - 1, last, -1):
-            i, j = pairs[k]
-            a, b = labels[i], labels[j]
-            if a != b:
-                stack.append(((*forest, (i, j)), k, tuple(
-                    a if label == b else label for label in labels)))
-    return forests
 
 
 def _canonical_form(q: int, forest: Sequence[tuple[int, int]]
@@ -343,12 +330,17 @@ def _orbit_representatives(q: int) -> Iterator[tuple[Edge, ...]]:
     the forests of P's type or a later one.  When N has P's type,
     (P, N) ~ (N, P) ~ (P, N') for the relabelling that maps N onto P,
     taken from the two forests' canonical orders, and the Aut(P)-orbits
-    of N and N' give one representative.
+    of N and N' give one representative.  The forests of K_q, each as
+    its edges (i, j), are the independent sets of the positive
+    hyperplanes, in the order of :func:`independence_walk`.
     """
     types: dict[tuple[str, ...], list] = {}
-    for forest in _forests(q):
-        code, order = _canonical_form(q, forest)
-        types.setdefault(code, []).append((forest, order))
+    positive_hyperplanes = [h for h in move_arrangement(q) if h[2] == POSITIVE]
+    for subset, independent, _ in _walk(positive_hyperplanes, q):
+        if independent:
+            forest = [(i, j) for i, j, _ in subset]
+            code, order = _canonical_form(q, forest)
+            types.setdefault(code, []).append((forest, order))
     codes = sorted(types)
     for t, code in enumerate(codes):
         positive, order = types[code][0]
@@ -377,12 +369,13 @@ def _orbit_representatives(q: int) -> Iterator[tuple[Edge, ...]]:
 def _representative_systems(q: int) -> Iterator[
         tuple[tuple[int, ...], list[int], int, list[list[int]]]]:
     """Yield (fixed coordinates F, loose coordinates, D, X) for each
-    nonsingular system (:func:`_solve_fixed`) of each orbit
+    nonsingular system (:func:`_systems`) of each orbit
     representative (:func:`_orbit_representatives`), of only the F of
     each pair {F, F with every x_i <-> y_i} that sorts first: that swap
     maps each attack equation to plus or minus itself and the cube to
     itself, so F's swap image pins the swapped points of F."""
     dim = 2 * q
+    rows = _signed_rows(q)
     # per count of fixed coordinates, the sets that sort no later than
     # their swap image; coordinate c of piece i swaps with c ^ 1
     fixed_sets = [list(_fixed_sets(dim, (
@@ -390,11 +383,8 @@ def _representative_systems(q: int) -> Iterator[
         if tuple(sorted(c ^ 1 for c in fixed)) >= fixed)))
         for m in range(dim + 1)]
     for subset in _orbit_representatives(q):
-        signed = _signed_rows(subset, q)
-        for fixed, loose, columns in fixed_sets[dim - len(subset)]:
-            system = _solve_fixed(signed, loose, columns)
-            if system is not None:
-                yield fixed, loose, *system
+        yield from _systems([rows[h] for h in subset],
+                            fixed_sets[dim - len(subset)])
 
 
 def period_upper_bound(q: int, *, bound: int = 3) -> int:
@@ -435,31 +425,35 @@ def _square_closure(points: Iterable[tuple[int, tuple[int, ...]]]
     return closed
 
 
-def _defining_sets(q: int, point: tuple[int, tuple[int, ...]]) -> Iterator[
-        tuple[tuple[Edge, ...], tuple[int, ...]]]:
-    """Yield (hyperplanes, fixed coordinates) of each system that pins
+def _defining_set(point: tuple[int, tuple[int, ...]],
+                  rows: dict[Edge, tuple[int, ...]]
+                  ) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
+    """(hyperplanes, fixed coordinates) of the first system that pins
     the cube point (D, numerators), in the order of a walk over every
     independent set and every fixed set: fewest hyperplanes first, then
-    both in ``combinations`` order.  Such a system takes only hyperplanes
-    through the point and facets it lies on, with the point's own 0/1
-    values, and it pins the point exactly when it is nonsingular."""
+    both in ``combinations`` order; ``rows`` is :func:`_signed_rows`.
+    Such a system takes only hyperplanes through the point and facets it
+    lies on, with the point's own 0/1 values, and it pins the point
+    exactly when it is nonsingular."""
     d, numerators = point
-    dim = 2 * q
-    through = [h for h in move_arrangement(q)
-               if not sum(map(mul, hyperplane_normal(h, q), numerators))]
+    dim = len(numerators)
+    # a row's first half is the normal, which map() pairs with the point
+    through = [h for h, row in rows.items()
+               if not sum(map(mul, row, numerators))]
     facets = [c for c in range(dim) if numerators[c] in (0, d)]
     for k in range(dim - len(facets), min(len(through), dim) + 1):
+        fixed_sets = list(_fixed_sets(dim, combinations(facets, dim - k)))
         for subset in combinations(through, k):
-            signed = _signed_rows(subset, q)
-            for fixed, loose, columns in _fixed_sets(
-                    dim, combinations(facets, dim - k)):
-                if _solve_fixed(signed, loose, columns) is not None:
-                    yield subset, fixed
+            for fixed, *_ in _systems([rows[h] for h in subset], fixed_sets):
+                return subset, fixed
+    raise AssertionError("no system pins the point ("
+                         + ", ".join(str(Fraction(n, d)) for n in numerators)
+                         + ")")
 
 
 def enumerate_lattice_vertices(q: int, *, bound: int = 3) -> list[LatticeVertex]:
     """All vertices of the inside-out unit cube for q bishops, sorted by
-    point, each with its first defining set (:func:`_defining_sets`).
+    point, each with its first defining set (:func:`_defining_set`).
     Relabelling the pieces and a symmetry of the unit square applied to
     every piece map the arrangement and the cube to themselves, so the
     vertices are the closure (:func:`_square_closure`) of the cube
@@ -468,10 +462,11 @@ def enumerate_lattice_vertices(q: int, *, bound: int = 3) -> list[LatticeVertex]
     _check_vertex_search(q, bound)
     points = {point for system in _representative_systems(q)
               for point in _cube_filter(*system)}
+    rows = _signed_rows(q)
     vertices = []
     for point in _square_closure(points):
         d, numerators = point
-        subset, fixed = next(_defining_sets(q, point))
+        subset, fixed = _defining_set(point, rows)
         vertices.append(LatticeVertex(
             tuple(Fraction(n, d) for n in numerators), subset, tuple(
                 Fixation("x" if c % 2 == 0 else "y", c // 2 + 1,

@@ -253,15 +253,14 @@ def cube_points(subset, q: int):
     that the independent ``subset`` pins with 2q - |subset| facet
     fixations, the point as (denominator, numerators) in lowest terms:
     every set of fixed coordinates, in ``combinations`` order, through
-    the per-system solve and cube filter of ``bishops.geometry``."""
+    the system generator and cube filter of ``bishops.geometry``."""
     dim = 2 * q
-    signed = geometry._signed_rows(subset, q)
-    for fixed, loose, columns in geometry._fixed_sets(
-            dim, combinations(range(dim), dim - len(subset))):
-        system = geometry._solve_fixed(signed, loose, columns)
-        if system is not None:
-            for point in geometry._cube_filter(fixed, loose, *system):
-                yield fixed, point
+    rows = geometry._signed_rows(q)
+    for system in geometry._systems(
+            [rows[h] for h in subset], geometry._fixed_sets(
+                dim, combinations(range(dim), dim - len(subset)))):
+        for point in geometry._cube_filter(*system):
+            yield system[0], point
 
 
 def walk_vertices(q: int) -> list:
@@ -270,7 +269,7 @@ def walk_vertices(q: int) -> list:
     ``combinations`` order, with each of its sets of fixed coordinates
     (:func:`cube_points`).  Each point keeps the first defining set that
     pins it; the fixed values are its own 0/1 coordinates.  Of
-    ``bishops.geometry`` it shares only the per-system solve and cube
+    ``bishops.geometry`` it shares only the system generator and cube
     filter: not the orbit representatives, the symmetry closure or the
     defining-set search."""
     found = {}

@@ -1,5 +1,6 @@
 """Arrangement geometry: normals, codimension, vertices, clique solves."""
 
+import hashlib
 import os
 from collections import Counter
 from fractions import Fraction
@@ -397,6 +398,22 @@ def test_orbit_representatives_partition_the_independent_sets(q):
                        for subset, m, _ in independence_walk(q) if m}
 
 
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("q, digest", [
+    (1, "b18a48f02566e6150fce7a3ece72478f44afc0341489d43f01f25f0351984bab"),
+    (2, "461a77e37914009fa8646859aa2b8d42932c57c56637144ec5a947a689684256"),
+    (3, "db5594a17051e69faeceac875d0ed53c6263d5fa96623a8673e5d47a8f4c1f7d"),
+    (4, "a71f4e53eddf29dab176fbbc9530cc88cc684a2b8858479a49753f748ec2f7ae"),
+    (5, "887441e8bdb0a744867f7b0e8d8945c3a70036cafe969e88727b2ee56fbf7e70"),
+])
+def test_orbit_representatives_are_pinned(q, digest):
+    # the sequence, order included, that the forest walk of 781b687 gave
+    assert sha256(repr(list(geometry._orbit_representatives(q)))) == digest
+
+
 @pytest.mark.parametrize("q", range(1, 6))
 def test_orbit_representatives_match_burnside_counts(q):
     sizes = Counter(map(len, geometry._orbit_representatives(q)))
@@ -527,6 +544,38 @@ def test_vertices_at_five_pieces():
     assert denominator_lcm(vertices) == 2
     assert verify_half_integrality(vertices)
     assert all(solved_back(v, 5) == v.point for v in vertices)
+
+
+def test_vertices_at_five_pieces_are_pinned():
+    # points, hyperplanes and fixations as 781b687 gave them, where the
+    # walk oracle of test_vertices_match_the_walk does not reach
+    assert sha256("".join(
+        repr((v.point, v.hyperplanes, v.fixations)) + "\n"
+        for v in five_piece_vertices())) == (
+        "b7dc0ba21a4595ee91fc58284fca990a0b2414028b4ff7a4697bcd7e0b368547")
+
+
+def test_vertex_enumeration_builds_each_normal_once(monkeypatch):
+    # one row table for the representatives' systems, one for the
+    # defining sets and one normal per positive hyperplane for the
+    # forests: 12 + 12 + 6 at q = 4
+    calls = []
+    honest = geometry.hyperplane_normal
+
+    def counted(edge, q):
+        calls.append(edge)
+        return honest(edge, q)
+
+    monkeypatch.setattr(geometry, "hyperplane_normal", counted)
+    enumerate_lattice_vertices(4, bound=4)
+    assert len(calls) == 30
+
+
+def test_defining_set_names_a_point_that_no_system_pins():
+    # (1/2, 1/2) lies on no facet, and one piece has no hyperplanes
+    with pytest.raises(AssertionError,
+                       match=r"^no system pins the point \(1/2, 1/2\)$"):
+        geometry._defining_set((2, (1, 1)), geometry._signed_rows(1))
 
 
 @pytest.mark.skipif(not os.environ.get("BISHOPS_SLOW"),

@@ -33,6 +33,7 @@ import io
 import os
 import shlex
 import sys
+from itertools import zip_longest
 from pathlib import Path
 from random import Random
 
@@ -135,6 +136,18 @@ def parse(text: str) -> tuple[list[str], int, str, str]:
             int(exit_line.removeprefix("exit ")), stderr, stdout)
 
 
+def first_difference(actual: str, expected: str) -> str | None:
+    """None when the texts are equal, else their first differing line,
+    numbered from 1.  Lines keep their ends, so a lost or changed line
+    end is a difference too."""
+    pairs = zip_longest(actual.splitlines(keepends=True),
+                        expected.splitlines(keepends=True))
+    for number, (got, wanted) in enumerate(pairs, 1):
+        if got != wanted:
+            return f"line {number}: got {got!r}, expected {wanted!r}"
+    return None
+
+
 def render_testkit_instances() -> str:
     """The first 20 instances of each generator, seed 0, each with its
     own Random."""
@@ -167,8 +180,12 @@ def test_golden_replays(name, monkeypatch):
     assert argv == CASES[name]
     monkeypatch.chdir(REPO_ROOT)
     code, stdout, stderr = run_cli(argv)
-    assert stdout == expected_stdout
-    assert stderr == expected_stderr
+    # the first differing line, not a diff of two long texts, which
+    # pytest can take minutes to build
+    stdout_difference = first_difference(stdout, expected_stdout)
+    assert stdout_difference is None, f"stdout {stdout_difference}"
+    stderr_difference = first_difference(stderr, expected_stderr)
+    assert stderr_difference is None, f"stderr {stderr_difference}"
     assert code == expected_code
 
 
@@ -195,6 +212,20 @@ def record(names: list[str]) -> None:
         TESTKIT_GOLDEN.parent.mkdir(exist_ok=True)
         TESTKIT_GOLDEN.write_text(render_testkit_instances(), encoding="utf-8")
         print("testkit: written", file=sys.stderr)
+
+
+def test_first_difference_keeps_byte_equality():
+    assert first_difference("a\nb\n", "a\nb\n") is None
+    assert first_difference("", "") is None
+    assert first_difference("a\nc\n", "a\nb\n") == (
+        "line 2: got 'c\\n', expected 'b\\n'")
+    # a lost trailing newline, a line end changed, a line missing
+    assert first_difference("a\nb", "a\nb\n") == (
+        "line 2: got 'b', expected 'b\\n'")
+    assert first_difference("a\r\n", "a\n") == (
+        "line 1: got 'a\\r\\n', expected 'a\\n'")
+    assert first_difference("a\n", "a\nb\n") == (
+        "line 2: got None, expected 'b\\n'")
 
 
 def test_record_keeps_existing_goldens_unless_named(tmp_path, monkeypatch):
