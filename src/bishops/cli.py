@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="largest q allowed for the enumeration, which "
                           "maps the vertices of one independent hyperplane "
                           "set per symmetry orbit by the symmetries (q = 4 "
-                          "takes a fraction of a second, q = 5 about 4 s)")
+                          "takes a fraction of a second, q = 5 about 1-2 s)")
     vertices.add_argument("--format", choices=("pretty", "json"),
                           default="pretty")
     vertices.set_defaults(handler=cmd_vertices)

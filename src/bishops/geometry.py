@@ -9,19 +9,20 @@ independence test made here.  The equation is written only in
 and the clique-graph re-check all read.  The matroid check walks the
 independent sets and their one-hyperplane extensions depth first,
 deciding both independence bits of each subset from its parent's by one
-row reduction and at most one union-find merge.  In u = x + y,
-v = x - y an independent set is a pair of forests of K_q, one per sign,
-so one set per orbit of relabelling the pieces and x -> 1 - x is built
-directly as a forest pair, from an AHU canonical form of the forests
-that the same walk finds among the positive hyperplanes.  Both vertex
-searches solve those sets' systems, one of each x_i <-> y_i pair of
-fixed-coordinate sets, through one generator of the nonsingular
-systems, as integer numerators over one denominator per system, and
-filter them to the unit cube.  The period bound takes
-the lcm of the denominators, skipping each system whose denominator
-divides the lcm so far; vertex enumeration maps the points by the
-symmetries of the pieces and of the square, and finds each vertex's
-first defining set among the hyperplanes and facets through it.  The
+row reduction and at most one union-find merge.  In u = x + y, v = x - y
+an independent set is a pair of forests of K_q, one per sign, so one set
+per orbit of relabelling the pieces and x -> 1 - x is built directly as
+a forest pair, from an AHU canonical form of the forests that the same
+walk finds among the positive hyperplanes.  Both vertex searches solve
+those sets' systems, one of each x_i <-> y_i pair of fixed-coordinate
+sets, through one generator of the nonsingular systems, as integer
+numerators over one denominator D per system, and filter to the unit
+cube only a system whose D does not divide the lcm so far (the period
+bound), or one with D > 1 or no loose coordinate (vertex enumeration,
+which then maps the points by the symmetries of the pieces and of the
+square).  A vertex's first defining set fixes the facets it lies on and
+is the greedy basis, as in any matroid, of the normals through it
+restricted to its loose coordinates, by the walk's row reduction.  The
 clique-graph solve rebuilds a vertex, checking its clique values once.
 """
 
@@ -59,6 +60,9 @@ class SingularFixationError(ValueError):
 
 def move_arrangement(q: int) -> list[Edge]:
     """All 2 * C(q, 2) attack hyperplanes for q pieces, as edges."""
+    _require_int(q, "q")
+    if q < 0:
+        raise ValueError("q must be nonnegative")
     # per pair, the x - y edge before the x + y one: vertex enumeration
     # keeps the first defining set of each point, in this order
     return [(i, j, sign) for i, j in combinations(range(1, q + 1), 2)
@@ -70,6 +74,7 @@ def hyperplane_normal(edge: Edge, q: int) -> list[int]:
     equation x_i + sign * y_i - x_j - sign * y_j = 0 of edge (i, j, sign):
     a positive edge shares x + y (northwest diagonals), a negative edge
     x - y (northeast diagonals).  The one place that equation is written."""
+    _require_int(q, "q")
     i, j, sign = edge
     _require_int(i, "edge endpoint")
     _require_int(j, "edge endpoint")
@@ -428,24 +433,26 @@ def _square_closure(points: Iterable[tuple[int, tuple[int, ...]]]
 def _defining_set(point: tuple[int, tuple[int, ...]],
                   rows: dict[Edge, tuple[int, ...]]
                   ) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
-    """(hyperplanes, fixed coordinates) of the first system that pins
-    the cube point (D, numerators), in the order of a walk over every
-    independent set and every fixed set: fewest hyperplanes first, then
-    both in ``combinations`` order; ``rows`` is :func:`_signed_rows`.
-    Such a system takes only hyperplanes through the point and facets it
-    lies on, with the point's own 0/1 values, and it pins the point
-    exactly when it is nonsingular."""
+    """(hyperplanes, fixed coordinates) of the first system, fewest
+    hyperplanes first and then in ``combinations`` order, that pins the
+    cube point (D, numerators); ``rows`` is :func:`_signed_rows`.  Such
+    a system uses only hyperplanes through the point and facets it lies
+    on, so it takes at least one hyperplane per loose coordinate, inside
+    (0, D), and then fixes every facet: the first such basis in
+    ``combinations`` order is the greedy one, as in any matroid."""
     d, numerators = point
-    dim = len(numerators)
+    loose = [c for c, n in enumerate(numerators) if 0 < n < d]
+    subset, basis = [], []
     # a row's first half is the normal, which map() pairs with the point
-    through = [h for h, row in rows.items()
-               if not sum(map(mul, row, numerators))]
-    facets = [c for c in range(dim) if numerators[c] in (0, d)]
-    for k in range(dim - len(facets), min(len(through), dim) + 1):
-        fixed_sets = list(_fixed_sets(dim, combinations(facets, dim - k)))
-        for subset in combinations(through, k):
-            for fixed, *_ in _systems([rows[h] for h in subset], fixed_sets):
-                return subset, fixed
+    for h, row in rows.items():
+        if len(basis) < len(loose) and not sum(map(mul, row, numerators)):
+            reduced = linalg.reduce_row(basis, [row[c] for c in loose])
+            if reduced is not None:
+                basis.append(reduced)
+                subset.append(h)
+    if len(basis) == len(loose):
+        return tuple(subset), tuple(
+            c for c, n in enumerate(numerators) if n in (0, d))
     raise AssertionError("no system pins the point ("
                          + ", ".join(str(Fraction(n, d)) for n in numerators)
                          + ")")
@@ -460,8 +467,10 @@ def enumerate_lattice_vertices(q: int, *, bound: int = 3) -> list[LatticeVertex]
     points of the representative systems (:func:`_representative_systems`).
     """
     _check_vertex_search(q, bound)
-    points = {point for system in _representative_systems(q)
-              for point in _cube_filter(*system)}
+    # D = 1 pins only corners; the system with every coordinate fixed pins all
+    points = {point for fixed, loose, d, x in _representative_systems(q)
+              if d > 1 or not loose
+              for point in _cube_filter(fixed, loose, d, x)}
     rows = _signed_rows(q)
     vertices = []
     for point in _square_closure(points):

@@ -271,7 +271,7 @@ def walk_vertices(q: int) -> list:
     pins it; the fixed values are its own 0/1 coordinates.  Of
     ``bishops.geometry`` it shares only the system generator and cube
     filter: not the orbit representatives, the symmetry closure or the
-    defining-set search."""
+    greedy defining sets."""
     found = {}
     # the walk yields subsets in index order, which a stable sort by
     # size turns into combinations() order, size by size

@@ -99,6 +99,9 @@ def test_move_arrangement_size_and_order():
     assert arrangement[0] == (1, 2, NEGATIVE)
     assert arrangement[1] == (1, 2, POSITIVE)
     assert move_arrangement(1) == []
+    assert move_arrangement(0) == []
+    with pytest.raises(ValueError, match="^q must be nonnegative$"):
+        move_arrangement(-2)
 
 
 def test_hyperplane_normals():
@@ -281,7 +284,7 @@ def five_piece_vertices():
 @pytest.mark.parametrize("q", range(1, 5))
 def test_vertices_match_the_walk(q):
     # LatticeVertex equality covers points, hyperplanes and fixations:
-    # the symmetry closure finds every vertex and the local search its
+    # the symmetry closure finds every vertex and the greedy basis its
     # first defining set in the brute force's order
     assert enumerate_lattice_vertices(q, bound=4) == brute_force_vertices(q)
 
@@ -497,11 +500,9 @@ def count_solves(monkeypatch) -> list[int]:
     return solves
 
 
-def test_period_upper_bound_skips_systems_that_cannot_raise_it(monkeypatch):
-    # one solve per swap pair of fixed coordinates, and a cube filter
-    # only while the system's denominator does not divide the lcm: at
-    # q <= 4 the one filtered system is the first with D = 2
-    solves, filters = count_solves(monkeypatch), []
+def count_filters(monkeypatch) -> list[int]:
+    """The D of each system that goes through the cube filter."""
+    filters = []
     cube_filter = geometry._cube_filter
 
     def counted_filter(*system):
@@ -509,6 +510,14 @@ def test_period_upper_bound_skips_systems_that_cannot_raise_it(monkeypatch):
         return cube_filter(*system)
 
     monkeypatch.setattr(geometry, "_cube_filter", counted_filter)
+    return filters
+
+
+def test_period_upper_bound_skips_systems_that_cannot_raise_it(monkeypatch):
+    # one solve per swap pair of fixed coordinates, and a cube filter
+    # only while the system's denominator does not divide the lcm: at
+    # q <= 4 the one filtered system is the first with D = 2
+    solves, filters = count_solves(monkeypatch), count_filters(monkeypatch)
     counts = []
     for q in range(1, 5):
         solves[0] = 0
@@ -516,6 +525,21 @@ def test_period_upper_bound_skips_systems_that_cannot_raise_it(monkeypatch):
         assert period_upper_bound(q, bound=4) == (1, 1, 2, 2)[q - 1]
         counts.append((solves[0], filters[:]))
     assert counts == [(1, []), (7, []), (69, [2]), (1457, [2])]
+
+
+def test_vertex_enumeration_solves_only_the_representatives(monkeypatch):
+    # the representatives' solves and no more: each defining set is a
+    # greedy basis, which takes none; a cube filter runs only on a
+    # system with D > 1, or with every coordinate fixed, whose points
+    # are all the corners that a D = 1 system could pin
+    solves, filters = count_solves(monkeypatch), count_filters(monkeypatch)
+    counts = []
+    for q in range(1, 5):
+        solves[0] = 0
+        filters.clear()
+        enumerate_lattice_vertices(q, bound=4)
+        counts.append((solves[0], len(filters)))
+    assert counts == [(1, 1), (7, 1), (69, 2), (1457, 22)]
 
 
 def test_period_upper_bound_at_five_pieces(monkeypatch):

@@ -15,10 +15,12 @@ from bishops import (
     count_bishops_fast,
     count_unlabelled_naive,
     enumerate_lattice_vertices,
+    hyperplane_normal,
     interpolate,
     interpolate_bishops,
     linalg,
     matroid_check,
+    move_arrangement,
     period_upper_bound,
     sample_counts,
 )
@@ -416,6 +418,9 @@ def test_interpolate_bishops_validation():
     (lambda: matroid_check(2, bound=4.0), "bound"),
     (lambda: period_upper_bound(2.0), "q"),
     (lambda: period_upper_bound(2, bound=True), "bound"),
+    (lambda: move_arrangement(True), "q"),
+    (lambda: move_arrangement(3.0), "q"),
+    (lambda: hyperplane_normal((1, 2, 1), 2.0), "q"),
 ], ids=["period", "degree", "bool-key", "interpolate-degree",
         "interpolate-period", "bishops-period", "bishops-q", "evaluate-bool",
         "evaluate-float", "coefficient-index", "coefficient-residue",
@@ -423,7 +428,8 @@ def test_interpolate_bishops_validation():
         "sample-bool-q", "sample-float-q", "sample-n-from", "sample-n-to",
         "sample-budget", "vertices-q",
         "vertices-bound", "matroid-q", "matroid-bound", "period-bound-q",
-        "period-bound-bound"])
+        "period-bound-bound", "arrangement-bool-q", "arrangement-float-q",
+        "normal-q"])
 def test_integer_fields_refuse_floats_and_bools(build, message):
     # each compares equal to an int, but would index, slice or key as
     # something else: a float period picks no constituent, True would
