@@ -13,17 +13,17 @@ row reduction and at most one union-find merge.  In u = x + y, v = x - y
 an independent set is a pair of forests of K_q, one per sign, so one set
 per orbit of relabelling the pieces and x -> 1 - x is built directly as
 a forest pair, from an AHU canonical form of the forests that the same
-walk finds among the positive hyperplanes.  Both vertex searches solve
-those sets' systems, one of each x_i <-> y_i pair of fixed-coordinate
-sets, through one generator of the nonsingular systems, as integer
-numerators over one denominator D per system, and filter to the unit
-cube only a system whose D does not divide the lcm so far (the period
-bound), or one with D > 1 or no loose coordinate (vertex enumeration,
-which then maps the points by the symmetries of the pieces and of the
-square).  A vertex's first defining set fixes the facets it lies on and
-is the greedy basis, as in any matroid, of the normals through it
-restricted to its loose coordinates, by the walk's row reduction.  The
-clique-graph solve rebuilds a vertex, checking its clique values once.
+walk finds among the positive hyperplanes.  Both vertex searches take
+one rule: solve those sets' systems, one of each x_i <-> y_i pair of
+fixed-coordinate sets, as integer numerators over one denominator D per
+system, and filter to the unit cube each system with D > 1, since one
+with D = 1 pins only corners.  The period bound is the lcm of those
+points' denominators; vertex enumeration adds the corners and maps the
+points by the symmetries of the pieces and of the square.  A vertex's
+first defining set fixes the facets it lies on and is the greedy basis,
+as in any matroid, of the normals through it restricted to its loose
+coordinates, by the walk's row reduction.  The clique-graph solve
+rebuilds a vertex, checking its clique values once.
 """
 
 from __future__ import annotations
@@ -371,16 +371,16 @@ def _orbit_representatives(q: int) -> Iterator[tuple[Edge, ...]]:
                             for automorphism in automorphisms)
 
 
-def _representative_systems(q: int) -> Iterator[
-        tuple[tuple[int, ...], list[int], int, list[list[int]]]]:
-    """Yield (fixed coordinates F, loose coordinates, D, X) for each
-    nonsingular system (:func:`_systems`) of each orbit
-    representative (:func:`_orbit_representatives`), of only the F of
-    each pair {F, F with every x_i <-> y_i} that sorts first: that swap
-    maps each attack equation to plus or minus itself and the cube to
-    itself, so F's swap image pins the swapped points of F."""
+def _representative_points(q: int, rows: dict[Edge, tuple[int, ...]]
+                           ) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield the cube points (:func:`_cube_filter`) of each nonsingular
+    system with D > 1 (:func:`_systems`) of each orbit representative
+    (:func:`_orbit_representatives`), with the ``rows`` of
+    :func:`_signed_rows`.  A system with D = 1 pins only corners.  Only
+    the F of each pair {F, F with every x_i <-> y_i} that sorts first is
+    solved: that swap maps each attack equation to plus or minus itself
+    and the cube to itself, so F's swap image pins the swapped points."""
     dim = 2 * q
-    rows = _signed_rows(q)
     # per count of fixed coordinates, the sets that sort no later than
     # their swap image; coordinate c of piece i swaps with c ^ 1
     fixed_sets = [list(_fixed_sets(dim, (
@@ -388,25 +388,20 @@ def _representative_systems(q: int) -> Iterator[
         if tuple(sorted(c ^ 1 for c in fixed)) >= fixed)))
         for m in range(dim + 1)]
     for subset in _orbit_representatives(q):
-        yield from _systems([rows[h] for h in subset],
-                            fixed_sets[dim - len(subset)])
+        for system in _systems([rows[h] for h in subset],
+                               fixed_sets[dim - len(subset)]):
+            if system[2] > 1:
+                yield from _cube_filter(*system)
 
 
 def period_upper_bound(q: int, *, bound: int = 3) -> int:
     """Geometric bound on the counting period: the denominator lcm of
-    the lattice vertices, from the systems of one independent set per
-    symmetry orbit (:func:`_representative_systems`).  Those symmetries
-    keep every coordinate's denominator, and every point of a system has
-    a denominator dividing its D, so a system whose D divides the lcm
-    found so far is not filtered to the cube.
-    """
+    the lattice vertices, by the one rule of vertex enumeration, over
+    the points of :func:`_representative_points`, since the symmetries
+    keep every coordinate's denominator and a corner's is 1."""
     _check_vertex_search(q, bound)
-    period = 1
-    for system in _representative_systems(q):
-        # system[2] is D, which every point's denominator divides
-        if period % system[2]:
-            period = lcm(period, *(d for d, _ in _cube_filter(*system)))
-    return period
+    points = _representative_points(q, _signed_rows(q))
+    return lcm(1, *{d for d, _ in points})
 
 
 def _square_closure(points: Iterable[tuple[int, tuple[int, ...]]]
@@ -463,15 +458,14 @@ def enumerate_lattice_vertices(q: int, *, bound: int = 3) -> list[LatticeVertex]
     point, each with its first defining set (:func:`_defining_set`).
     Relabelling the pieces and a symmetry of the unit square applied to
     every piece map the arrangement and the cube to themselves, so the
-    vertices are the closure (:func:`_square_closure`) of the cube
-    points of the representative systems (:func:`_representative_systems`).
+    vertices are the closure (:func:`_square_closure`) of the corners
+    and of the representatives' points (:func:`_representative_points`),
+    the one rule that also gives :func:`period_upper_bound`.
     """
     _check_vertex_search(q, bound)
-    # D = 1 pins only corners; the system with every coordinate fixed pins all
-    points = {point for fixed, loose, d, x in _representative_systems(q)
-              if d > 1 or not loose
-              for point in _cube_filter(fixed, loose, d, x)}
     rows = _signed_rows(q)
+    points = {(1, corner) for corner in product((0, 1), repeat=2 * q)}
+    points.update(_representative_points(q, rows))
     vertices = []
     for point in _square_closure(points):
         d, numerators = point

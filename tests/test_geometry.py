@@ -380,11 +380,12 @@ def test_period_upper_bound():
 
 
 def representative_points(q):
-    """The points of the cube that the orbit representatives' systems
-    pin, one fixed-coordinate set of each x <-> y pair."""
+    """The points of the cube that the orbit representatives pin, with
+    every set of fixed coordinates (``helpers.cube_points``), not one of
+    each x <-> y pair as the package solves them."""
     return {tuple(Fraction(n, d) for n in numerators)
-            for system in geometry._representative_systems(q)
-            for d, numerators in geometry._cube_filter(*system)}
+            for subset in geometry._orbit_representatives(q)
+            for _, (d, numerators) in cube_points(subset, q)}
 
 
 @pytest.mark.parametrize("q", range(1, 6))
@@ -513,40 +514,33 @@ def count_filters(monkeypatch) -> list[int]:
     return filters
 
 
-def test_period_upper_bound_skips_systems_that_cannot_raise_it(monkeypatch):
-    # one solve per swap pair of fixed coordinates, and a cube filter
-    # only while the system's denominator does not divide the lcm: at
-    # q <= 4 the one filtered system is the first with D = 2
+@pytest.mark.parametrize("search", [
+    lambda q: period_upper_bound(q, bound=4),
+    lambda q: enumerate_lattice_vertices(q, bound=4),
+], ids=["period_upper_bound", "enumerate_lattice_vertices"])
+def test_vertex_searches_solve_and_filter_the_same_systems(monkeypatch,
+                                                           search):
+    # one rule for both searches: one solve per swap pair of fixed
+    # coordinates of each representative, and a cube filter on exactly
+    # the systems with D > 1, since a D = 1 system pins only corners
     solves, filters = count_solves(monkeypatch), count_filters(monkeypatch)
     counts = []
     for q in range(1, 5):
         solves[0] = 0
         filters.clear()
-        assert period_upper_bound(q, bound=4) == (1, 1, 2, 2)[q - 1]
-        counts.append((solves[0], filters[:]))
-    assert counts == [(1, []), (7, []), (69, [2]), (1457, [2])]
-
-
-def test_vertex_enumeration_solves_only_the_representatives(monkeypatch):
-    # the representatives' solves and no more: each defining set is a
-    # greedy basis, which takes none; a cube filter runs only on a
-    # system with D > 1, or with every coordinate fixed, whose points
-    # are all the corners that a D = 1 system could pin
-    solves, filters = count_solves(monkeypatch), count_filters(monkeypatch)
-    counts = []
-    for q in range(1, 5):
-        solves[0] = 0
-        filters.clear()
-        enumerate_lattice_vertices(q, bound=4)
+        search(q)
+        assert all(d > 1 for d in filters)
         counts.append((solves[0], len(filters)))
-    assert counts == [(1, 1), (7, 1), (69, 2), (1457, 22)]
+    assert counts == [(1, 0), (7, 0), (69, 1), (1457, 21)]
 
 
 def test_period_upper_bound_at_five_pieces(monkeypatch):
-    # 466 representatives of the 84,681 independent sets
-    solves = count_solves(monkeypatch)
-    assert period_upper_bound(5, bound=5) == 2
-    assert solves == [37550]
+    # 466 representatives of the 84,681 independent sets; the bound is
+    # the denominator lcm of the vertices that enumeration closes
+    solves, filters = count_solves(monkeypatch), count_filters(monkeypatch)
+    period = period_upper_bound(5, bound=5)
+    assert (solves[0], len(filters)) == (37550, 518)
+    assert period == 2 == denominator_lcm(five_piece_vertices())
 
 
 @pytest.mark.skipif(not os.environ.get("BISHOPS_SLOW"),
@@ -580,9 +574,9 @@ def test_vertices_at_five_pieces_are_pinned():
 
 
 def test_vertex_enumeration_builds_each_normal_once(monkeypatch):
-    # one row table for the representatives' systems, one for the
-    # defining sets and one normal per positive hyperplane for the
-    # forests: 12 + 12 + 6 at q = 4
+    # one row table, for both the representatives' systems and the
+    # defining sets, and one normal per positive hyperplane for the
+    # forests: 12 + 6 at q = 4
     calls = []
     honest = geometry.hyperplane_normal
 
@@ -592,7 +586,7 @@ def test_vertex_enumeration_builds_each_normal_once(monkeypatch):
 
     monkeypatch.setattr(geometry, "hyperplane_normal", counted)
     enumerate_lattice_vertices(4, bound=4)
-    assert len(calls) == 30
+    assert len(calls) == 18
 
 
 def test_defining_set_names_a_point_that_no_system_pins():
