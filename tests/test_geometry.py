@@ -433,10 +433,11 @@ def test_burnside_counts_of_forest_pairs():
 
 @pytest.mark.parametrize("q", range(1, 5))
 def test_orbit_closure_of_representatives_is_the_vertex_set(q):
-    # S_q x D_4 maps vertices to vertices, and x <-> y is in D_4, so the
-    # vertices of the representatives' systems, one of each swap pair,
+    # S_q x D_4 maps vertices to vertices, so the vertices of the
+    # representatives' systems, with every set of fixed coordinates,
     # and their images by the reference action are every vertex, and
-    # only vertices
+    # only vertices; x <-> y is in D_4, which is why the package may
+    # solve one set of each swap pair
     expected = {vertex.point for vertex in brute_force_vertices(q)}
     assert orbit_closure(representative_points(q)) == expected
 
