@@ -343,9 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("-q", type=int, required=True)
     verify.add_argument("--bound", type=int, default=3,
                         help="largest q allowed for the geometric bound, "
-                        "which solves one independent hyperplane set per "
-                        "symmetry orbit (q = 5 takes about a second, q = 6 "
-                        "about a minute)")
+                        "which solves one spanning hyperplane set per "
+                        "symmetry orbit of flats (q = 6 takes about 2 s, "
+                        "q = 7 about 20 s)")
     verify.set_defaults(handler=cmd_verify_period)
 
     vertices = commands.add_parser(
@@ -354,9 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     vertices.add_argument("-q", type=int, required=True)
     vertices.add_argument("--bound", type=int, default=3,
                           help="largest q allowed for the enumeration, which "
-                          "maps the vertices of one independent hyperplane "
-                          "set per symmetry orbit by the symmetries (q = 4 "
-                          "takes a fraction of a second, q = 5 about 1-2 s)")
+                          "maps the vertices of one spanning hyperplane set "
+                          "per symmetry orbit of flats by the symmetries "
+                          "(q = 5 takes under a second, q = 6 about 5 s)")
     vertices.add_argument("--format", choices=("pretty", "json"),
                           default="pretty")
     vertices.set_defaults(handler=cmd_vertices)

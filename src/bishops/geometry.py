@@ -10,24 +10,26 @@ and the clique-graph re-check all read.  The matroid check walks the
 independent sets and their one-hyperplane extensions depth first,
 deciding both independence bits of each subset from its parent's by one
 row reduction and at most one union-find merge.  In u = x + y, v = x - y
-an independent set is a pair of forests of K_q, one per sign, so one set
-per orbit of relabelling the pieces and x -> 1 - x is built directly as
-a forest pair, from an AHU canonical form of the forests that the same
-walk finds among the positive hyperplanes.  Both vertex searches take
-one rule: solve those sets' systems, one of each x_i <-> y_i pair of
-fixed-coordinate sets, as integer numerators over one denominator D per
-system, and filter to the unit cube each system with D > 1, since one
-with D = 1 pins only corners.  The period bound is the lcm of those
-points' denominators; vertex enumeration adds the corners and maps the
-points by the symmetries of the pieces and of the square.  A vertex's
-first defining set fixes the facets it lies on and is the greedy basis,
-as in any matroid, of the normals through it restricted to its loose
-coordinates, by the walk's row reduction.  The clique-graph solve
-rebuilds a vertex, checking its clique values once.
+a set of hyperplanes spans the flat where u is constant on the blocks
+of a partition pi of the pieces and v on those of sigma, and the points
+a system pins depend only on the flat its hyperplanes span.  Both
+vertex searches take one rule: solve one spanning set of one flat
+(pi, sigma) per orbit of relabelling the pieces and x -> 1 - x, with
+one of each x_i <-> y_i pair of fixed-coordinate sets, as integer
+numerators over one denominator D per system, and filter to the unit
+cube each system with D > 1, since one with D = 1 pins only corners.
+The period bound is the lcm of those points' denominators; vertex
+enumeration adds the corners and maps the points by the symmetries of
+the pieces and of the square.  A vertex's first defining set fixes the
+facets it lies on and is the greedy basis, as in any matroid, of the
+normals through it restricted to its loose coordinates, by the walk's
+row reduction.  The clique-graph solve rebuilds a vertex, checking its
+clique values once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -106,17 +108,11 @@ def independence_walk(q: int) -> Iterator[tuple[tuple[Edge, ...], bool, bool]]:
     on which the routes disagree extends one on which they agree, so
     the walked subsets decide the rank identity on every subset.
     """
-    return _walk(move_arrangement(q), q)
-
-
-def _walk(hyperplanes: Sequence[Edge], q: int) -> Iterator[
-        tuple[tuple[Edge, ...], bool, bool]]:
-    """:func:`independence_walk` over the ``hyperplanes`` alone."""
     # per hyperplane: its normal, and the two nodes it joins; the labels
     # of both union-finds share one tuple, nodes 0..q-1 being the pieces
     # in the positive class and q..2q-1 those in the negative
     steps = []
-    for edge in hyperplanes:
+    for edge in move_arrangement(q):
         i, j, sign = edge
         offset = 0 if sign == POSITIVE else q
         steps.append((edge, hyperplane_normal(edge, q),
@@ -284,102 +280,90 @@ def denominator_lcm(vertices: Iterable[LatticeVertex]) -> int:
     return lcm(*(c.denominator for v in vertices for c in v.point), 1)
 
 
-def _canonical_form(q: int, forest: Sequence[tuple[int, int]]
-                    ) -> tuple[tuple[str, ...], list[int]]:
-    """(type, order) of a forest of K_q.  The type is the sorted AHU codes
-    of its trees, each tree's the least over its roots, so isomorphic
-    forests, and only they, share it.  ``order`` lists the pieces tree
-    by tree in that order, each tree in preorder with children sorted by
-    code: for two forests of one type, order[k] -> order'[k] maps the
-    first onto the second."""
-    neighbours: list[list[int]] = [[] for _ in range(q + 1)]
-    for i, j in forest:
-        neighbours[i].append(j)
-        neighbours[j].append(i)
-
-    def rooted(v: int, parent: int) -> tuple[str, list[int]]:
-        children = sorted(rooted(w, v) for w in neighbours[v] if w != parent)
-        return ("(" + "".join(code for code, _ in children) + ")",
-                [v, *(u for _, order in children for u in order)])
-
-    trees, placed = [], set()
-    for v in range(1, q + 1):
-        if v not in placed:
-            first = rooted(v, 0)
-            tree = min([first, *(rooted(u, 0) for u in first[1][1:])])
-            placed.update(tree[1])
-            trees.append(tree)
-    trees.sort()
-    return (tuple(code for code, _ in trees),
-            [v for _, order in trees for v in order])
+def _row_orbit(columns: tuple[tuple[int, ...], ...],
+               swaps: Sequence[int]) -> set[tuple[tuple[int, ...], ...]]:
+    """The images of a matrix, as its sorted columns, under the orders of
+    its rows that the transpositions of rows k and k + 1, k in
+    ``swaps``, generate."""
+    orbit, stack = {columns}, [columns]
+    while stack:
+        columns = stack.pop()
+        for k in swaps:
+            image = tuple(sorted((*c[:k], c[k + 1], c[k], *c[k + 2:])
+                                 for c in columns))
+            if image not in orbit:
+                orbit.add(image)
+                stack.append(image)
+    return orbit
 
 
-def _relabel(forest: Iterable[tuple[int, int]],
-             label: Sequence[int]) -> frozenset[tuple[int, int]]:
-    """The forest with each piece i renamed label[i]."""
-    return frozenset((label[i], label[j]) if label[i] < label[j]
-                     else (label[j], label[i]) for i, j in forest)
+def _flat_orbits(q: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Yield one pair (pi, sigma) of partitions of the pieces, as
+    restricted-growth strings, of each orbit of S_q x Z_2 on the flats.
 
-
-def _orbit_representatives(q: int) -> Iterator[tuple[Edge, ...]]:
-    """Yield one independent set of each orbit of S_q x Z_2, as a pair
-    of forests of K_q.
-
-    Write u_i = x_i + y_i and v_i = x_i - y_i: a positive edge says
-    u_i = u_j and a negative one v_i = v_j, so a set of hyperplanes is
-    independent exactly when its positive edges P and its negative
-    edges N are both forests.  Relabelling the pieces acts on P and N
-    together, and x -> 1 - x swaps them.  So P is taken as one forest of
-    each type (:func:`_canonical_form`), types in sorted order; N as one
-    forest of each orbit of Aut(P), the relabellings that fix P, among
-    the forests of P's type or a later one.  When N has P's type,
-    (P, N) ~ (N, P) ~ (P, N') for the relabelling that maps N onto P,
-    taken from the two forests' canonical orders, and the Aut(P)-orbits
-    of N and N' give one representative.  The forests of K_q, each as
-    its edges (i, j), are the independent sets of the positive
-    hyperplanes, in the order of :func:`independence_walk`.
+    Relabelling the pieces acts on pi and sigma together, and x -> 1 - x
+    swaps them.  So pi is one partition of each shape, its blocks runs
+    of consecutive pieces, largest first, and sigma one of each orbit
+    of the relabellings that fix pi, of pi's shape or a later one.
+    Those permute the pieces inside each block of pi, which leaves the
+    matrix M[k][l] = |pi_k & sigma_l| up to the order of sigma's blocks,
+    its columns, and permute pi's blocks of one size, M's rows of one
+    sum.  When sigma has pi's shape, (pi, sigma) ~ (sigma, pi): M
+    transposed.
     """
-    types: dict[tuple[str, ...], list] = {}
-    positive_hyperplanes = [h for h in move_arrangement(q) if h[2] == POSITIVE]
-    for subset, independent, _ in _walk(positive_hyperplanes, q):
-        if independent:
-            forest = [(i, j) for i, j, _ in subset]
-            code, order = _canonical_form(q, forest)
-            types.setdefault(code, []).append((forest, order))
-    codes = sorted(types)
-    for t, code in enumerate(codes):
-        positive, order = types[code][0]
-        edges = frozenset(positive)
-        automorphisms = [label for label in (
-            (0, *perm) for perm in permutations(range(1, q + 1)))
-            if _relabel(positive, label) == edges]
-        seen: set[frozenset[tuple[int, int]]] = set()
-        for other in codes[t:]:
-            for negative, negative_order in types[other]:
-                if frozenset(negative) in seen:
-                    continue
-                yield tuple(sorted([*((i, j, POSITIVE) for i, j in positive),
-                                    *((i, j, NEGATIVE) for i, j in negative)]))
-                images = [negative]
-                if other == code:
-                    label = [0] * (q + 1)
-                    for a, b in zip(negative_order, order):
-                        label[a] = b
-                    images.append(_relabel(positive, label))
-                seen.update(_relabel(image, automorphism)
-                            for image in images
-                            for automorphism in automorphisms)
+    # entry i - 1 is piece i's block; blocks are numbered by first use
+    partitions: list[tuple[int, ...]] = [()]
+    for _ in range(q):
+        partitions = [(*s, b) for s in partitions
+                      for b in range(max(s, default=-1) + 2)]
+    shapes = {s: tuple(sorted(Counter(s).values(), reverse=True))
+              for s in partitions}
+    order = {shape: k for k, shape in enumerate(sorted(
+        set(shapes.values()), reverse=True))}
+    for shape, k in order.items():
+        pi = tuple(b for b, size in enumerate(shape) for _ in range(size))
+        swaps = [b for b in range(len(shape) - 1) if shape[b] == shape[b + 1]]
+        seen: set[tuple[tuple[int, ...], ...]] = set()
+        for sigma in partitions:
+            if order[shapes[sigma]] < k:
+                continue
+            meets = [[0] * (max(sigma) + 1) for _ in shape]
+            for b, c in zip(pi, sigma):
+                meets[b][c] += 1
+            columns = tuple(sorted(zip(*meets)))
+            if columns not in seen:
+                yield pi, sigma
+                seen |= _row_orbit(columns, swaps)
+                if shapes[sigma] == shape:
+                    # sigma's blocks as rows, largest first
+                    seen |= _row_orbit(tuple(sorted(zip(*sorted(
+                        columns, key=sum, reverse=True)))), swaps)
+
+
+def _spanning_set(pi: Sequence[int], sigma: Sequence[int]) -> tuple[Edge, ...]:
+    """The hyperplanes that span the flat (pi, sigma) (:func:`_flat_orbits`)
+    as a path on each block, in increasing piece order: positive edges
+    on the blocks of pi, negative ones on those of sigma, sorted."""
+    edges = []
+    for partition, sign in ((pi, POSITIVE), (sigma, NEGATIVE)):
+        last: dict[int, int] = {}
+        for piece, block in enumerate(partition, 1):
+            if block in last:
+                edges.append((last[block], piece, sign))
+            last[block] = piece
+    return tuple(sorted(edges))
 
 
 def _representative_points(q: int, rows: dict[Edge, tuple[int, ...]]
                            ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Yield the cube points (:func:`_cube_filter`) of each nonsingular
-    system with D > 1 (:func:`_systems`) of each orbit representative
-    (:func:`_orbit_representatives`), with the ``rows`` of
-    :func:`_signed_rows`.  A system with D = 1 pins only corners.  Only
-    the F of each pair {F, F with every x_i <-> y_i} that sorts first is
-    solved: that swap maps each attack equation to plus or minus itself
-    and the cube to itself, so F's swap image pins the swapped points."""
+    system with D > 1 (:func:`_systems`) of the spanning set
+    (:func:`_spanning_set`) of each flat orbit (:func:`_flat_orbits`),
+    with the ``rows`` of :func:`_signed_rows`.  A system with D = 1 pins
+    only corners.  Only the F of each pair {F, F with every x_i <-> y_i}
+    that sorts first is solved: that swap maps each attack equation to
+    plus or minus itself and the cube to itself, so F's swap image pins
+    the swapped points."""
     dim = 2 * q
     # per count of fixed coordinates, the sets that sort no later than
     # their swap image; coordinate c of piece i swaps with c ^ 1
@@ -387,7 +371,8 @@ def _representative_points(q: int, rows: dict[Edge, tuple[int, ...]]
         fixed for fixed in combinations(range(dim), m)
         if tuple(sorted(c ^ 1 for c in fixed)) >= fixed)))
         for m in range(dim + 1)]
-    for subset in _orbit_representatives(q):
+    for flat in _flat_orbits(q):
+        subset = _spanning_set(*flat)
         for system in _systems([rows[h] for h in subset],
                                fixed_sets[dim - len(subset)]):
             if system[2] > 1:

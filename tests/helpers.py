@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import factorial, prod
+from math import factorial
 from pathlib import Path
 
 from bishops import (
@@ -287,93 +287,63 @@ def walk_vertices(q: int) -> list:
     return sorted(found.values(), key=lambda vertex: vertex.point)
 
 
-def edge_set_orbit(subset, q: int) -> set[frozenset]:
-    """The images of a set of attack hyperplanes (i, j, sign) under
-    every relabelling of the q pieces, each with and without the
-    reflection x -> 1 - x, which turns x_i + y_i = x_j + y_j into
-    x_i - y_i = x_j - y_j and so negates every sign."""
+def set_partitions(q: int) -> list[frozenset]:
+    """Every partition of the pieces 1..q, as a frozenset of blocks,
+    each block a frozenset: piece k joins a block of a partition of
+    1..k-1 or starts its own.  Shares no code with ``bishops.geometry``."""
+    partitions = [frozenset()]
+    for k in range(1, q + 1):
+        partitions = [
+            frozenset({*(b for b in p if b != block), block | {k}})
+            for p in partitions for block in (*p, frozenset())]
+    return partitions
+
+
+def relabel_partition(partition: frozenset, labels) -> frozenset:
+    """The partition with each piece i renamed labels[i - 1]."""
+    return frozenset(frozenset(labels[i - 1] for i in block)
+                     for block in partition)
+
+
+def flat_orbit(pi: frozenset, sigma: frozenset, q: int) -> set[tuple]:
+    """The images of the flat (pi, sigma), u = x + y constant on the
+    blocks of pi and v = x - y on those of sigma, under every
+    relabelling of the q pieces, each with and without the reflection
+    x -> 1 - x, which exchanges u and 1 - v and so swaps pi and sigma."""
     orbit = set()
     for labels in permutations(range(1, q + 1)):
-        for reflect in (False, True):
-            image = set()
-            for i, j, sign in subset:
-                a, b = sorted((labels[i - 1], labels[j - 1]))
-                image.add((a, b, -sign if reflect else sign))
-            orbit.add(frozenset(image))
+        image = (relabel_partition(pi, labels), relabel_partition(sigma, labels))
+        orbit.update((image, image[::-1]))
     return orbit
 
 
-def _partitions(q: int, largest: int | None = None):
-    """The partitions of q into parts of at most ``largest``, parts in
-    decreasing order."""
-    if q == 0:
-        yield ()
-        return
-    for part in range(min(q, largest or q), 0, -1):
-        for rest in _partitions(q - part, part):
-            yield (part, *rest)
+def spanned_flat(subset, q: int) -> tuple[frozenset, frozenset]:
+    """(pi, sigma) of the flat a set of attack hyperplanes spans: the
+    positive and the negative cliques of the subset read as a signed
+    graph (:func:`reference_signed_cliques`)."""
+    return tuple(frozenset(map(frozenset, cliques)) for cliques
+                 in reference_signed_cliques(SignedGraph(q, tuple(subset))))
 
 
-def _fixed_forests(perm: tuple[int, ...]) -> Counter:
-    """Forests of K_q fixed by the permutation ``perm`` of 0..q-1, by
-    edge count: each is a union of the permutation's orbits on the
-    edges, a forest when each of its edges joins two components."""
-    q = len(perm)
-    orbits, placed = [], set()
-    for edge in combinations(range(q), 2):
-        orbit = []
-        while edge not in placed:
-            placed.add(edge)
-            orbit.append(edge)
-            edge = tuple(sorted(perm[v] for v in edge))
-        if orbit:
-            orbits.append(orbit)
-
-    def find(root: list[int], v: int) -> int:
-        while root[v] != v:
-            v = root[v]
-        return v
-
-    counts: Counter = Counter()
-    for chosen in product((False, True), repeat=len(orbits)):
-        edges = [e for take, orbit in zip(chosen, orbits) if take
-                 for e in orbit]
-        root = list(range(q))
-        joins = 0
-        for i, j in edges:
-            a, b = find(root, i), find(root, j)
-            if a != b:
-                root[a] = b
-                joins += 1
-        if joins == len(edges):
-            counts[len(edges)] += 1
-    return counts
-
-
-def forest_pair_orbit_counts(q: int) -> dict[int, int]:
-    """Orbits of S_q x Z_2 on the pairs (P, N) of forests of K_q, by
-    |P| + |N|, with S_q relabelling both and Z_2 swapping them, by
-    Burnside's lemma over the cycle types of S_q: (sigma, 1) fixes the
-    pairs of forests sigma fixes, and (sigma, swap) fixes (P, sigma P)
-    for each forest P that sigma^2 fixes.  Shares no code with
-    ``bishops.geometry``."""
+def partition_pair_orbit_counts(q: int) -> dict[int, int]:
+    """Orbits of S_q x Z_2 on the pairs (pi, sigma) of partitions of the
+    q pieces, by rank 2q - |pi| - |sigma|, with S_q relabelling both and
+    Z_2 swapping them, by Burnside's lemma over every permutation g:
+    (g, 1) fixes the pairs of partitions g fixes, and (g, swap) fixes
+    (pi, g pi) for each partition pi that g^2 fixes.  Shares no code
+    with ``bishops.geometry``."""
+    partitions = set_partitions(q)
     total: Counter = Counter()
-    for cycle_type in _partitions(q):
-        # a permutation of this cycle type, and how many there are
-        perm, start = [], 0
-        for length in cycle_type:
-            perm += [start + (k + 1) % length for k in range(length)]
-            start += length
-        multiplicity = Counter(cycle_type)
-        size = factorial(q) // prod(
-            length ** m * factorial(m) for length, m in multiplicity.items())
-        fixed = _fixed_forests(tuple(perm))
-        squared = _fixed_forests(tuple(perm[v] for v in perm))
+    for labels in permutations(range(1, q + 1)):
+        squared = [labels[i - 1] for i in labels]
+        fixed = Counter(q - len(p) for p in partitions
+                        if relabel_partition(p, labels) == p)
         for a, x in fixed.items():
             for b, y in fixed.items():
-                total[a + b] += size * x * y
-        for a, x in squared.items():
-            total[2 * a] += size * x
+                total[a + b] += x * y
+        for p in partitions:
+            if relabel_partition(p, squared) == p:
+                total[2 * (q - len(p))] += 1
     group = 2 * factorial(q)
     assert all(count % group == 0 for count in total.values())
-    return {s: total[s] // group for s in sorted(total)}
+    return {rank: total[rank] // group for rank in sorted(total)}

@@ -42,13 +42,15 @@ from helpers import (
     FIXTURE_FIXATION_COORDINATES,
     SQUARE_SYMMETRIES,
     cube_points,
-    edge_set_orbit,
     example_clique_fixture,
-    forest_pair_orbit_counts,
+    flat_orbit,
     orbit_closure,
+    partition_pair_orbit_counts,
     per_subset_ranks,
     reference_det,
     reference_solve,
+    set_partitions,
+    spanned_flat,
     walk_vertices,
 )
 
@@ -379,62 +381,76 @@ def test_period_upper_bound():
         period_upper_bound(0)
 
 
+def flat_blocks(partition):
+    """A restricted-growth string as the frozenset of its blocks of
+    pieces 1..q, as ``helpers.set_partitions`` writes a partition."""
+    return frozenset(frozenset(i for i, b in enumerate(partition, 1)
+                               if b == block) for block in set(partition))
+
+
 def representative_points(q):
-    """The points of the cube that the orbit representatives pin, with
-    every set of fixed coordinates (``helpers.cube_points``), not one of
-    each x <-> y pair as the package solves them."""
+    """The points of the cube that the flat orbits' spanning sets pin,
+    with every set of fixed coordinates (``helpers.cube_points``), not
+    one of each x <-> y pair as the package solves them."""
     return {tuple(Fraction(n, d) for n in numerators)
-            for subset in geometry._orbit_representatives(q)
-            for _, (d, numerators) in cube_points(subset, q)}
+            for flat in geometry._flat_orbits(q)
+            for _, (d, numerators)
+            in cube_points(geometry._spanning_set(*flat), q)}
 
 
 @pytest.mark.parametrize("q", range(1, 6))
 def test_orbit_representatives_partition_the_independent_sets(q):
-    # under relabelling and x -> 1 - x, taken by the reference action,
-    # the representatives' orbits are disjoint and together are exactly
-    # the independent sets that the walk finds
+    # each flat's spanning set is independent and spans it; under
+    # relabelling and x -> 1 - x, taken by the reference action, the
+    # flats' orbits are disjoint and together are the flats that the
+    # walk's independent sets span, every pair of partitions
     covered = set()
-    for subset in geometry._orbit_representatives(q):
-        orbit = edge_set_orbit(subset, q)
+    for pi, sigma in geometry._flat_orbits(q):
+        flat = flat_blocks(pi), flat_blocks(sigma)
+        spanning = geometry._spanning_set(pi, sigma)
+        assert spanned_flat(spanning, q) == flat
+        assert len(spanning) == 2 * q - len(flat[0]) - len(flat[1])
+        orbit = flat_orbit(*flat, q)
         assert not orbit & covered
         covered |= orbit
-    assert covered == {frozenset(subset)
-                       for subset, m, _ in independence_walk(q) if m}
-
-
-def sha256(text):
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-@pytest.mark.parametrize("q, digest", [
-    (1, "b18a48f02566e6150fce7a3ece72478f44afc0341489d43f01f25f0351984bab"),
-    (2, "461a77e37914009fa8646859aa2b8d42932c57c56637144ec5a947a689684256"),
-    (3, "db5594a17051e69faeceac875d0ed53c6263d5fa96623a8673e5d47a8f4c1f7d"),
-    (4, "a71f4e53eddf29dab176fbbc9530cc88cc684a2b8858479a49753f748ec2f7ae"),
-    (5, "887441e8bdb0a744867f7b0e8d8945c3a70036cafe969e88727b2ee56fbf7e70"),
-])
-def test_orbit_representatives_are_pinned(q, digest):
-    # the sequence, order included, that the forest walk of 781b687 gave
-    assert sha256(repr(list(geometry._orbit_representatives(q)))) == digest
+    assert covered == {spanned_flat(subset, q)
+                       for subset, m, _ in independence_walk(q) if m} == set(
+        product(set_partitions(q), repeat=2))
 
 
 @pytest.mark.parametrize("q", range(1, 6))
 def test_orbit_representatives_match_burnside_counts(q):
-    sizes = Counter(map(len, geometry._orbit_representatives(q)))
-    assert sizes == forest_pair_orbit_counts(q)
+    # by rank, the number of hyperplanes in a flat's spanning set
+    ranks = Counter(len(geometry._spanning_set(*flat))
+                    for flat in geometry._flat_orbits(q))
+    assert ranks == partition_pair_orbit_counts(q)
 
 
-def test_burnside_counts_of_forest_pairs():
-    assert forest_pair_orbit_counts(5) == {
-        0: 1, 1: 1, 2: 5, 3: 11, 4: 37, 5: 69, 6: 129, 7: 128, 8: 85}
-    assert sum(forest_pair_orbit_counts(6).values()) == 6912
-    assert sum(1 for _ in geometry._orbit_representatives(6)) == 6912
+def test_burnside_counts_of_partition_pairs():
+    assert [sum(partition_pair_orbit_counts(q).values())
+            for q in range(1, 7)] == [1, 3, 7, 21, 54, 167]
+    assert sum(1 for _ in geometry._flat_orbits(6)) == 167
+
+
+@pytest.mark.parametrize("q, joined", [
+    (3, {3: 1}), (4, {3: 1, 4: 4}), (5, {3: 1, 4: 4, 5: 17})])
+def test_half_integral_flats_by_pieces_joined(q, joined):
+    # the flat orbits with a strictly half-integral cube point, by the
+    # pieces in a block of two or more of pi or sigma: the least joins
+    # three pieces
+    counts = Counter()
+    for pi, sigma in geometry._flat_orbits(q):
+        if any(d == 2 for _, (d, _) in cube_points(
+                geometry._spanning_set(pi, sigma), q)):
+            counts[sum(pi.count(b) > 1 or sigma.count(c) > 1
+                       for b, c in zip(pi, sigma))] += 1
+    assert counts == joined
 
 
 @pytest.mark.parametrize("q", range(1, 5))
 def test_orbit_closure_of_representatives_is_the_vertex_set(q):
     # S_q x D_4 maps vertices to vertices, so the vertices of the
-    # representatives' systems, with every set of fixed coordinates,
+    # flat orbits' spanning sets, with every set of fixed coordinates,
     # and their images by the reference action are every vertex, and
     # only vertices; x <-> y is in D_4, which is why the package may
     # solve one set of each swap pair
@@ -445,7 +461,7 @@ def test_orbit_closure_of_representatives_is_the_vertex_set(q):
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_square_closure_is_the_reference_orbit(q):
     # each vertex's images alone, against the reference S_q x D_4
-    # action: the representatives' points already meet every S_q orbit
+    # action: the flat orbits' points already meet every S_q orbit
     # of vertices at q <= 5, so the vertex sets alone do not pin D_4
     for vertex in brute_force_vertices(q):
         d = denominator_lcm([vertex])
@@ -522,7 +538,7 @@ def count_filters(monkeypatch) -> list[int]:
 def test_vertex_searches_solve_and_filter_the_same_systems(monkeypatch,
                                                            search):
     # one rule for both searches: one solve per swap pair of fixed
-    # coordinates of each representative, and a cube filter on exactly
+    # coordinates of each flat orbit's spanning set, and a cube filter on exactly
     # the systems with D > 1, since a D = 1 system pins only corners
     solves, filters = count_solves(monkeypatch), count_filters(monkeypatch)
     counts = []
@@ -532,26 +548,39 @@ def test_vertex_searches_solve_and_filter_the_same_systems(monkeypatch,
         search(q)
         assert all(d > 1 for d in filters)
         counts.append((solves[0], len(filters)))
-    assert counts == [(1, 0), (7, 0), (69, 1), (1457, 21)]
+    assert counts == [(1, 0), (7, 0), (50, 1), (525, 13)]
 
 
 def test_period_upper_bound_at_five_pieces(monkeypatch):
-    # 466 representatives of the 84,681 independent sets; the bound is
-    # the denominator lcm of the vertices that enumeration closes
+    # 54 flat orbits of the 2,704 flats; the bound is the denominator
+    # lcm of the vertices that enumeration closes
     solves, filters = count_solves(monkeypatch), count_filters(monkeypatch)
     period = period_upper_bound(5, bound=5)
-    assert (solves[0], len(filters)) == (37550, 518)
+    assert (solves[0], len(filters)) == (4892, 148)
     assert period == 2 == denominator_lcm(five_piece_vertices())
 
 
-@pytest.mark.skipif(not os.environ.get("BISHOPS_SLOW"),
-                    reason="opt-in, about 60 s: set BISHOPS_SLOW=1")
 def test_period_upper_bound_at_six_pieces(monkeypatch):
-    # 6,912 representatives of the 8,596,624 independent sets, one
-    # system of each x <-> y pair of fixed-coordinate sets
-    solves = count_solves(monkeypatch)
+    # 167 flat orbits of the 41,209 flats, one system of each x <-> y
+    # pair of fixed-coordinate sets
+    solves, filters = count_solves(monkeypatch), count_filters(monkeypatch)
     assert period_upper_bound(6, bound=6) == 2
-    assert solves == [1434924]
+    assert (solves[0], len(filters)) == (56674, 1804)
+
+
+@pytest.mark.skipif(not os.environ.get("BISHOPS_SLOW"),
+                    reason="opt-in, about 20 s: set BISHOPS_SLOW=1")
+def test_period_upper_bound_at_seven_pieces():
+    # 491 flat orbits of the 769,129 flats
+    assert period_upper_bound(7, bound=7) == 2
+
+
+def test_vertices_at_six_pieces():
+    # 5^6 - 2 3^6 + 2^7 + 1 points, all half-integral with matched pairs
+    vertices = enumerate_lattice_vertices(6, bound=6)
+    assert len(vertices) == 14296 == 5 ** 6 - 2 * 3 ** 6 + 2 ** 7 + 1
+    assert denominator_lcm(vertices) == 2
+    assert verify_half_integrality(vertices)
 
 
 def test_vertices_at_five_pieces():
@@ -565,6 +594,10 @@ def test_vertices_at_five_pieces():
     assert all(solved_back(v, 5) == v.point for v in vertices)
 
 
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_vertices_at_five_pieces_are_pinned():
     # points, hyperplanes and fixations as 781b687 gave them, where the
     # walk oracle of test_vertices_match_the_walk does not reach
@@ -575,9 +608,8 @@ def test_vertices_at_five_pieces_are_pinned():
 
 
 def test_vertex_enumeration_builds_each_normal_once(monkeypatch):
-    # one row table, for both the representatives' systems and the
-    # defining sets, and one normal per positive hyperplane for the
-    # forests: 12 + 6 at q = 4
+    # one row table, for both the flat orbits' systems and the
+    # defining sets: 12 at q = 4
     calls = []
     honest = geometry.hyperplane_normal
 
@@ -587,7 +619,7 @@ def test_vertex_enumeration_builds_each_normal_once(monkeypatch):
 
     monkeypatch.setattr(geometry, "hyperplane_normal", counted)
     enumerate_lattice_vertices(4, bound=4)
-    assert len(calls) == 18
+    assert len(calls) == 12
 
 
 def test_defining_set_names_a_point_that_no_system_pins():
@@ -600,8 +632,8 @@ def test_defining_set_names_a_point_that_no_system_pins():
 @pytest.mark.skipif(not os.environ.get("BISHOPS_SLOW"),
                     reason="opt-in, about 30 s: set BISHOPS_SLOW=1")
 def test_orbit_closure_at_five_pieces():
-    # the closure by the reference action of the representatives'
-    # points, against the closure that vertex enumeration computes
+    # the closure by the reference action of the flat orbits' points,
+    # against the closure that vertex enumeration computes
     assert orbit_closure(representative_points(5)) == {
         vertex.point for vertex in five_piece_vertices()}
 
