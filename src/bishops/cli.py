@@ -344,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--bound", type=int, default=3,
                         help="largest q allowed for the geometric bound, "
                         "which solves one spanning hyperplane set per "
-                        "symmetry orbit of flats (q = 6 takes about 2 s, "
-                        "q = 7 about 20 s)")
+                        "symmetry orbit of flats (q = 6 takes under a "
+                        "second, q = 7 about 8 s)")
     verify.set_defaults(handler=cmd_verify_period)
 
     vertices = commands.add_parser(
@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="largest q allowed for the enumeration, which "
                           "maps the vertices of one spanning hyperplane set "
                           "per symmetry orbit of flats by the symmetries "
-                          "(q = 5 takes under a second, q = 6 about 5 s)")
+                          "(q = 5 takes under a second, q = 6 about 3 s)")
     vertices.add_argument("--format", choices=("pretty", "json"),
                           default="pretty")
     vertices.set_defaults(handler=cmd_vertices)

@@ -13,18 +13,33 @@ row reduction and at most one union-find merge.  In u = x + y, v = x - y
 a set of hyperplanes spans the flat where u is constant on the blocks
 of a partition pi of the pieces and v on those of sigma, and the points
 a system pins depend only on the flat its hyperplanes span.  Both
-vertex searches take one rule: solve one spanning set of one flat
+vertex searches take one rule: take one spanning set of one flat
 (pi, sigma) per orbit of relabelling the pieces and x -> 1 - x, with
-one of each x_i <-> y_i pair of fixed-coordinate sets, as integer
-numerators over one denominator D per system, and filter to the unit
-cube each system with D > 1, since one with D = 1 pins only corners.
-The period bound is the lcm of those points' denominators; vertex
-enumeration adds the corners and maps the points by the symmetries of
-the pieces and of the square.  A vertex's first defining set fixes the
-facets it lies on and is the greedy basis, as in any matroid, of the
-normals through it restricted to its loose coordinates, by the walk's
-row reduction.  The clique-graph solve rebuilds a vertex, checking its
-clique values once.
+one of each x_i <-> y_i pair of fixed-coordinate sets, and solve and
+filter to the unit cube only the systems with D = 2, as integer
+numerators over D; a singular system pins nothing and one with D = 1
+only corners.  D comes from the clique-graph criterion, with no
+elimination (Chaiken, Hanusa and Zaslavsky; Zaslavsky, "Signed graphs",
+1982).  On the flat the unknowns are a_k = x_i + y_i per block k of pi
+and b_l = y_i - x_i per block l of sigma, and fixing x_i or y_i to v is
+the equation a_k -/+ b_l = 2v, a positive or negative edge of the
+doubled clique graph Psi.  The square system is nonsingular exactly
+when its edges form a spanning negative 1-forest of Psi: each
+component holds one circle, and that circle is negative.  Along a tree
+edge two values differ by an even number, up to sign, and the circle
+gives 2a = 2 * (its signed sum of fixed values) at a node on it, so
+every a and b of a component is an integer with the parity of that
+component's circle sum.  So a loose x_i = (a_k - b_l) / 2 is integral
+when blocks k and l share a component, and half of one circle sum
+plus or minus the other, up to even terms, when they do not: D = 2
+exactly when some piece with both coordinates loose has its blocks in
+different components, else D = 1.  The period bound is the lcm of
+those points' denominators; vertex enumeration adds the corners and
+maps the points by the symmetries of the pieces and of the square.  A
+vertex's first defining set fixes the facets it lies on and is the
+greedy basis, as in any matroid, of the normals through it restricted
+to its loose coordinates, by the walk's row reduction.  The
+clique-graph solve rebuilds a vertex, checking its clique values once.
 """
 
 from __future__ import annotations
@@ -32,7 +47,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, compress, permutations, product
 from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
@@ -354,29 +369,106 @@ def _spanning_set(pi: Sequence[int], sigma: Sequence[int]) -> tuple[Edge, ...]:
     return tuple(sorted(edges))
 
 
+def _fixation_denominators(pi: Sequence[int], sigma: Sequence[int],
+                           fixed_sets: Iterable[Sequence[int]]
+                           ) -> Iterator[int]:
+    """Yield, for each set F of the ``fixed_sets`` of coordinates, the D
+    of the system of the flat (pi, sigma) (:func:`_flat_orbits`) with F
+    fixed, as :func:`_systems` would find it, by the clique-graph
+    criterion and with no elimination: 0 when the system is singular,
+    else 1 or 2.
+
+    Psi has a node per block of pi and of sigma; fixing x_i adds a
+    positive edge, y_i a negative one, from piece i's block of pi to its
+    block of sigma.  A union-find keeps each node's parity of path sign
+    to its root, and accepts an edge that joins two components, not
+    both with a circle, or that closes a negative first circle of its
+    component; any other edge is dependent, so the square system is
+    singular.  D = 2 exactly when a piece with both coordinates loose
+    has its two blocks in different components.
+    """
+    blocks = max(pi) + 1
+    nodes = blocks + max(sigma) + 1
+    # per coordinate c of piece c // 2: the edge's two nodes, and 1 for
+    # a fixed y, the negative edge
+    ends = [(pi[c >> 1], blocks + sigma[c >> 1], c & 1)
+            for c in range(2 * len(pi))]
+    for fixed in fixed_sets:
+        parent, parity = list(range(nodes)), [0] * nodes
+        circled = [False] * nodes
+        for c in fixed:
+            k, l, sign = ends[c]
+            while parent[k] != k:
+                sign ^= parity[k]
+                k = parent[k]
+            while parent[l] != l:
+                sign ^= parity[l]
+                l = parent[l]
+            if k != l and not (circled[k] and circled[l]):
+                parent[k], parity[k] = l, sign
+                circled[l] = circled[l] or circled[k]
+            elif k == l and sign and not circled[k]:
+                circled[k] = True
+            else:
+                yield 0
+                break
+        else:
+            d = 1
+            for c in range(0, len(ends), 2):
+                if c not in fixed and c + 1 not in fixed:
+                    k, l, _ = ends[c]
+                    while parent[k] != k:
+                        k = parent[k]
+                    while parent[l] != l:
+                        l = parent[l]
+                    if k != l:
+                        d = 2
+                        break
+            yield d
+
+
 def _representative_points(q: int, rows: dict[Edge, tuple[int, ...]]
                            ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield the cube points (:func:`_cube_filter`) of each nonsingular
-    system with D > 1 (:func:`_systems`) of the spanning set
-    (:func:`_spanning_set`) of each flat orbit (:func:`_flat_orbits`),
-    with the ``rows`` of :func:`_signed_rows`.  A system with D = 1 pins
-    only corners.  Only the F of each pair {F, F with every x_i <-> y_i}
-    that sorts first is solved: that swap maps each attack equation to
-    plus or minus itself and the cube to itself, so F's swap image pins
-    the swapped points."""
+    """Yield the cube points (:func:`_cube_filter`) of each system with
+    D = 2 (:func:`_systems`) of the spanning set (:func:`_spanning_set`)
+    of each flat orbit (:func:`_flat_orbits`), with the ``rows`` of
+    :func:`_signed_rows`.  Only the F of each pair {F, F with every
+    x_i <-> y_i} that sorts first is taken: that swap maps each attack
+    equation to plus or minus itself and the cube to itself, so F's swap
+    image pins the swapped points.
+
+    Each system's D comes first from the clique-graph criterion
+    (:func:`_fixation_denominators`), and only those with D = 2 are
+    solved and filtered: a singular system pins nothing and one with
+    D = 1 only corners.  With a_k = x_i + y_i on the blocks k of pi and
+    b_l = y_i - x_i on the blocks l of sigma, fixing x_i or y_i to v is
+    the edge a_k -/+ b_l = 2v of Psi.  A tree edge keeps the parity of
+    its two values, and a negative circle gives 2a = 2 * (its signed sum
+    of fixed values) at a node on it, so every a and b of a component is
+    an integer with the parity of its circle sum.  A loose
+    x_i = (a_k - b_l) / 2 is then integral when blocks k and l share a
+    component, and half of one circle sum plus or minus the other when
+    they do not; a fixed coordinate of piece i joins its two blocks.
+    The solve re-checks each D it is handed."""
     dim = 2 * q
     # per count of fixed coordinates, the sets that sort no later than
     # their swap image; coordinate c of piece i swaps with c ^ 1
-    fixed_sets = [list(_fixed_sets(dim, (
-        fixed for fixed in combinations(range(dim), m)
-        if tuple(sorted(c ^ 1 for c in fixed)) >= fixed)))
-        for m in range(dim + 1)]
+    fixed_sets = [[fixed for fixed in combinations(range(dim), m)
+                   if tuple(sorted(c ^ 1 for c in fixed)) >= fixed]
+                  for m in range(dim + 1)]
     for flat in _flat_orbits(q):
         subset = _spanning_set(*flat)
-        for system in _systems([rows[h] for h in subset],
-                               fixed_sets[dim - len(subset)]):
-            if system[2] > 1:
-                yield from _cube_filter(*system)
+        sets = fixed_sets[dim - len(subset)]
+        kept = list(compress(sets, (
+            d == 2 for d in _fixation_denominators(*flat, sets))))
+        systems = _systems([rows[h] for h in subset], _fixed_sets(dim, kept))
+        for fixed in kept:
+            system = next(systems, None)
+            if system is None or system[0] != fixed or system[2] != 2:
+                raise AssertionError(
+                    f"elimination finds no D = 2 for the fixed coordinates "
+                    f"{fixed} of the flat {flat}")
+            yield from _cube_filter(*system)
 
 
 def period_upper_bound(q: int, *, bound: int = 3) -> int:
@@ -451,15 +543,20 @@ def enumerate_lattice_vertices(q: int, *, bound: int = 3) -> list[LatticeVertex]
     rows = _signed_rows(q)
     points = {(1, corner) for corner in product((0, 1), repeat=2 * q)}
     points.update(_representative_points(q, rows))
+    closed = _square_closure(points)
+    # the points are distinct, so their numerators over one common
+    # denominator sort them as their coordinates do
+    scale = lcm(*(d for d, _ in closed))
     vertices = []
-    for point in _square_closure(points):
+    for point in sorted(closed, key=lambda p: [n * (scale // p[0])
+                                               for n in p[1]]):
         d, numerators = point
         subset, fixed = _defining_set(point, rows)
         vertices.append(LatticeVertex(
             tuple(Fraction(n, d) for n in numerators), subset, tuple(
                 Fixation("x" if c % 2 == 0 else "y", c // 2 + 1,
                          numerators[c] // d) for c in fixed)))
-    return sorted(vertices, key=lambda vertex: vertex.point)
+    return vertices
 
 
 @dataclass(frozen=True)

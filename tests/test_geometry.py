@@ -447,6 +447,67 @@ def test_half_integral_flats_by_pieces_joined(q, joined):
     assert counts == joined
 
 
+@cache
+def flat_denominators(q):
+    """Per flat orbit, the D of the system of its spanning set with each
+    set of fixed coordinates, in ``combinations`` order and 0 when
+    singular: by plain elimination (``_systems``), and by the
+    clique-graph criterion (``_fixation_denominators``)."""
+    dim = 2 * q
+    rows = geometry._signed_rows(q)
+    denominators = []
+    for flat in geometry._flat_orbits(q):
+        subset = geometry._spanning_set(*flat)
+        sets = list(combinations(range(dim), dim - len(subset)))
+        solved = {fixed: d for fixed, _, d, _ in geometry._systems(
+            [rows[h] for h in subset], geometry._fixed_sets(dim, sets))}
+        denominators.append((
+            [solved.get(fixed, 0) for fixed in sets],
+            list(geometry._fixation_denominators(*flat, sets))))
+    return denominators
+
+
+@pytest.mark.parametrize("q, half", [
+    (1, 0), (2, 0), (3, 1), (4, 20), (5, 273)])
+def test_clique_graph_criterion_matches_elimination(q, half):
+    # on every flat orbit and every set of fixed coordinates, not one of
+    # each x <-> y pair: singular (0), D = 1 or D = 2 by a spanning
+    # negative 1-forest of Psi, against the D that elimination finds
+    for eliminated, criterion in flat_denominators(q):
+        assert criterion == eliminated
+    assert sum(d > 1 for eliminated, _ in flat_denominators(q)
+               for d in eliminated) == half
+
+
+@pytest.mark.parametrize("q, flats", [(3, 1), (4, 6), (5, 24)])
+def test_flats_with_a_half_denominator(q, flats):
+    # the flat orbits with a system of D > 1, by elimination and by the
+    # criterion; a D = 2 system need not pin a half-integral cube point
+    # (test_half_integral_flats_by_pieces_joined: 1, 5 and 22)
+    assert sum(any(d > 1 for d in eliminated)
+               for eliminated, _ in flat_denominators(q)) == flats
+    assert sum(2 in criterion
+               for _, criterion in flat_denominators(q)) == flats
+
+
+@pytest.mark.parametrize("passed, first", [((), "0, 1"), ({(0, 1)}, "0, 2")])
+def test_elimination_checks_each_system_the_criterion_keeps(monkeypatch,
+                                                           passed, first):
+    # every system but the ``passed`` ones called D = 2, on the first
+    # flat orbit at q = 2, one block each: fixing x_1 and y_1 closes a
+    # negative circle, and piece 2's blocks share its one component, so
+    # D = 1; fixing x_1 and x_2 closes a balanced one, singular
+    def every_system_halves(pi, sigma, fixed_sets):
+        return (0 if fixed in passed else 2 for fixed in fixed_sets)
+
+    monkeypatch.setattr(geometry, "_fixation_denominators",
+                        every_system_halves)
+    with pytest.raises(AssertionError, match=(
+            r"^elimination finds no D = 2 for the fixed coordinates "
+            rf"\({first}\) of the flat \(\(0, 0\), \(0, 0\)\)$")):
+        period_upper_bound(2)
+
+
 @pytest.mark.parametrize("q", range(1, 5))
 def test_orbit_closure_of_representatives_is_the_vertex_set(q):
     # S_q x D_4 maps vertices to vertices, so the vertices of the
@@ -537,18 +598,19 @@ def count_filters(monkeypatch) -> list[int]:
 ], ids=["period_upper_bound", "enumerate_lattice_vertices"])
 def test_vertex_searches_solve_and_filter_the_same_systems(monkeypatch,
                                                            search):
-    # one rule for both searches: one solve per swap pair of fixed
-    # coordinates of each flat orbit's spanning set, and a cube filter on exactly
-    # the systems with D > 1, since a D = 1 system pins only corners
+    # one rule for both searches: each flat orbit's spanning set, with
+    # one set of fixed coordinates per swap pair, solved and filtered
+    # only where the clique-graph criterion gives D = 2, since a
+    # singular system pins nothing and a D = 1 one only corners
     solves, filters = count_solves(monkeypatch), count_filters(monkeypatch)
     counts = []
     for q in range(1, 5):
         solves[0] = 0
         filters.clear()
         search(q)
-        assert all(d > 1 for d in filters)
+        assert all(d == 2 for d in filters)
         counts.append((solves[0], len(filters)))
-    assert counts == [(1, 0), (7, 0), (50, 1), (525, 13)]
+    assert counts == [(0, 0), (0, 0), (1, 1), (13, 13)]
 
 
 def test_period_upper_bound_at_five_pieces(monkeypatch):
@@ -556,7 +618,7 @@ def test_period_upper_bound_at_five_pieces(monkeypatch):
     # lcm of the vertices that enumeration closes
     solves, filters = count_solves(monkeypatch), count_filters(monkeypatch)
     period = period_upper_bound(5, bound=5)
-    assert (solves[0], len(filters)) == (4892, 148)
+    assert (solves[0], len(filters)) == (148, 148)
     assert period == 2 == denominator_lcm(five_piece_vertices())
 
 
@@ -565,14 +627,16 @@ def test_period_upper_bound_at_six_pieces(monkeypatch):
     # pair of fixed-coordinate sets
     solves, filters = count_solves(monkeypatch), count_filters(monkeypatch)
     assert period_upper_bound(6, bound=6) == 2
-    assert (solves[0], len(filters)) == (56674, 1804)
+    assert (solves[0], len(filters)) == (1804, 1804)
 
 
-@pytest.mark.skipif(not os.environ.get("BISHOPS_SLOW"),
-                    reason="opt-in, about 20 s: set BISHOPS_SLOW=1")
-def test_period_upper_bound_at_seven_pieces():
-    # 491 flat orbits of the 769,129 flats
+def test_period_upper_bound_at_seven_pieces(monkeypatch):
+    # 491 flat orbits of the 769,129 flats: of the 629,863 systems of one
+    # of each x <-> y pair, 534,460 are singular, 76,305 have D = 1 and
+    # only the other 19,098 are solved; about 8 s
+    solves, filters = count_solves(monkeypatch), count_filters(monkeypatch)
     assert period_upper_bound(7, bound=7) == 2
+    assert (solves[0], len(filters)) == (19098, 19098)
 
 
 def test_vertices_at_six_pieces():
