@@ -47,10 +47,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress, permutations, product
+from itertools import combinations, permutations, product
 from math import gcd, lcm
-from operator import itemgetter, mul
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 from . import linalg
 from .board import _require_int
@@ -214,44 +214,31 @@ def _check_vertex_search(q: int, bound: int) -> None:
             f"vertex enumeration for q={q} is above the bound {bound}")
 
 
-def _fixed_sets(dim: int, sets: Iterable[tuple[int, ...]]) -> Iterator[
-        tuple[tuple[int, ...], list[int], Callable[..., tuple[int, ...]]]]:
-    """Each of the ``sets`` of fixed coordinates of ``dim``, with its
-    loose coordinates and the getter that takes a row [n | -n] of
-    :func:`_signed_rows` to [n_L | -n_F]."""
-    for fixed in sets:
-        loose = [c for c in range(dim) if c not in fixed]
-        yield fixed, loose, itemgetter(*loose, *(dim + c for c in fixed))
+def _normals(q: int) -> dict[Edge, list[int]]:
+    """The normal of each hyperplane, by hyperplane, in the order of
+    :func:`move_arrangement`."""
+    return {h: hyperplane_normal(h, q) for h in move_arrangement(q)}
 
 
-def _signed_rows(q: int) -> dict[Edge, tuple[int, ...]]:
-    """The row [n | -n] of each hyperplane's normal n, by hyperplane, in
-    the order of :func:`move_arrangement`."""
-    return {h: (*n, *(-a for a in n))
-            for h in move_arrangement(q) for n in [hyperplane_normal(h, q)]}
-
-
-def _systems(rows: Sequence[Sequence[int]], fixed_sets: Iterable[
-        tuple[tuple[int, ...], list[int], Callable[..., tuple[int, ...]]]]
-             ) -> Iterator[tuple[tuple[int, ...], list[int], int,
-                                 list[list[int]]]]:
-    """Yield (F, loose coordinates, D, X) for each set F of the
-    ``fixed_sets`` (:func:`_fixed_sets`) that pins, with the ``rows``
-    [n | -n], one point per value of the fixed coordinates x_F: loose
-    coordinate t is X[t] . x_F / D, so every point of it has a
-    denominator dividing D.  The singular systems are skipped."""
-    for fixed, loose, columns in fixed_sets:
-        # N_L x_L = -N_F x_F, one right-hand column per fixed x
-        system = linalg._solve_augmented(list(map(columns, rows)), len(loose))
-        if system is not None:
-            yield fixed, loose, *system
+def _solve(rows: Sequence[Sequence[int]], fixed: Sequence[int], dim: int
+           ) -> tuple[list[int], int, list[list[int]]] | None:
+    """(loose coordinates, D, X) of the system of the normals ``rows``
+    with the coordinates ``fixed`` of ``dim`` fixed, or None when it is
+    singular: for each value x_F of the fixed coordinates, loose
+    coordinate t is X[t] . x_F / D, so every point it pins has a
+    denominator dividing D."""
+    loose = [c for c in range(dim) if c not in fixed]
+    # N_L x_L = -N_F x_F, one right-hand column per fixed x
+    system = linalg._solve_augmented([[n[c] for c in loose] + [
+        -n[c] for c in fixed] for n in rows], len(loose))
+    return None if system is None else (loose, *system)
 
 
 def _cube_filter(fixed: Sequence[int], loose: Sequence[int], d: int,
                  columns: Sequence[Sequence[int]]) -> Iterator[
         tuple[int, tuple[int, ...]]]:
     """Yield each point of the unit cube that a 0/1 choice of the
-    ``fixed`` coordinates pins (see :func:`_systems`), in lowest terms as
+    ``fixed`` coordinates pins (see :func:`_solve`), in lowest terms as
     (denominator, numerators).
 
     A loose coordinate's numerator under each choice of values is a
@@ -374,7 +361,7 @@ def _fixation_denominators(pi: Sequence[int], sigma: Sequence[int],
                            ) -> Iterator[int]:
     """Yield, for each set F of the ``fixed_sets`` of coordinates, the D
     of the system of the flat (pi, sigma) (:func:`_flat_orbits`) with F
-    fixed, as :func:`_systems` would find it, by the clique-graph
+    fixed, as :func:`_solve` would find it, by the clique-graph
     criterion and with no elimination: 0 when the system is singular,
     else 1 or 2.
 
@@ -427,29 +414,21 @@ def _fixation_denominators(pi: Sequence[int], sigma: Sequence[int],
             yield d
 
 
-def _representative_points(q: int, rows: dict[Edge, tuple[int, ...]]
+def _representative_points(q: int, normals: dict[Edge, list[int]]
                            ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Yield the cube points (:func:`_cube_filter`) of each system with
-    D = 2 (:func:`_systems`) of the spanning set (:func:`_spanning_set`)
-    of each flat orbit (:func:`_flat_orbits`), with the ``rows`` of
-    :func:`_signed_rows`.  Only the F of each pair {F, F with every
+    D = 2 of the spanning set (:func:`_spanning_set`) of each flat orbit
+    (:func:`_flat_orbits`), with the hyperplanes' ``normals``
+    (:func:`_normals`).  Only the F of each pair {F, F with every
     x_i <-> y_i} that sorts first is taken: that swap maps each attack
     equation to plus or minus itself and the cube to itself, so F's swap
     image pins the swapped points.
 
-    Each system's D comes first from the clique-graph criterion
-    (:func:`_fixation_denominators`), and only those with D = 2 are
-    solved and filtered: a singular system pins nothing and one with
-    D = 1 only corners.  With a_k = x_i + y_i on the blocks k of pi and
-    b_l = y_i - x_i on the blocks l of sigma, fixing x_i or y_i to v is
-    the edge a_k -/+ b_l = 2v of Psi.  A tree edge keeps the parity of
-    its two values, and a negative circle gives 2a = 2 * (its signed sum
-    of fixed values) at a node on it, so every a and b of a component is
-    an integer with the parity of its circle sum.  A loose
-    x_i = (a_k - b_l) / 2 is then integral when blocks k and l share a
-    component, and half of one circle sum plus or minus the other when
-    they do not; a fixed coordinate of piece i joins its two blocks.
-    The solve re-checks each D it is handed."""
+    Each system's D comes from the clique-graph criterion
+    (:func:`_fixation_denominators`; its parity argument is in the
+    module docstring), and only those with D = 2 are solved
+    (:func:`_solve`) and filtered, the solve re-checking each D it is
+    handed."""
     dim = 2 * q
     # per count of fixed coordinates, the sets that sort no later than
     # their swap image; coordinate c of piece i swaps with c ^ 1
@@ -458,17 +437,16 @@ def _representative_points(q: int, rows: dict[Edge, tuple[int, ...]]
                   for m in range(dim + 1)]
     for flat in _flat_orbits(q):
         subset = _spanning_set(*flat)
+        rows = [normals[h] for h in subset]
         sets = fixed_sets[dim - len(subset)]
-        kept = list(compress(sets, (
-            d == 2 for d in _fixation_denominators(*flat, sets))))
-        systems = _systems([rows[h] for h in subset], _fixed_sets(dim, kept))
-        for fixed in kept:
-            system = next(systems, None)
-            if system is None or system[0] != fixed or system[2] != 2:
-                raise AssertionError(
-                    f"elimination finds no D = 2 for the fixed coordinates "
-                    f"{fixed} of the flat {flat}")
-            yield from _cube_filter(*system)
+        for fixed, d in zip(sets, _fixation_denominators(*flat, sets)):
+            if d == 2:
+                system = _solve(rows, fixed, dim)
+                if system is None or system[1] != 2:
+                    raise AssertionError(
+                        f"elimination finds no D = 2 for the fixed "
+                        f"coordinates {fixed} of the flat {flat}")
+                yield from _cube_filter(fixed, *system)
 
 
 def period_upper_bound(q: int, *, bound: int = 3) -> int:
@@ -477,7 +455,7 @@ def period_upper_bound(q: int, *, bound: int = 3) -> int:
     the points of :func:`_representative_points`, since the symmetries
     keep every coordinate's denominator and a corner's is 1."""
     _check_vertex_search(q, bound)
-    points = _representative_points(q, _signed_rows(q))
+    points = _representative_points(q, _normals(q))
     return lcm(1, *{d for d, _ in points})
 
 
@@ -503,22 +481,22 @@ def _square_closure(points: Iterable[tuple[int, tuple[int, ...]]]
 
 
 def _defining_set(point: tuple[int, tuple[int, ...]],
-                  rows: dict[Edge, tuple[int, ...]]
+                  normals: dict[Edge, list[int]]
                   ) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
     """(hyperplanes, fixed coordinates) of the first system, fewest
     hyperplanes first and then in ``combinations`` order, that pins the
-    cube point (D, numerators); ``rows`` is :func:`_signed_rows`.  Such
-    a system uses only hyperplanes through the point and facets it lies
-    on, so it takes at least one hyperplane per loose coordinate, inside
-    (0, D), and then fixes every facet: the first such basis in
-    ``combinations`` order is the greedy one, as in any matroid."""
+    cube point (D, numerators), with the hyperplanes' ``normals``
+    (:func:`_normals`).  Such a system uses only hyperplanes through the
+    point and facets it lies on, so it takes at least one hyperplane per
+    loose coordinate, inside (0, D), and then fixes every facet: the
+    first such basis in ``combinations`` order is the greedy one, as in
+    any matroid."""
     d, numerators = point
     loose = [c for c, n in enumerate(numerators) if 0 < n < d]
     subset, basis = [], []
-    # a row's first half is the normal, which map() pairs with the point
-    for h, row in rows.items():
-        if len(basis) < len(loose) and not sum(map(mul, row, numerators)):
-            reduced = linalg.reduce_row(basis, [row[c] for c in loose])
+    for h, normal in normals.items():
+        if len(basis) < len(loose) and not sum(map(mul, normal, numerators)):
+            reduced = linalg.reduce_row(basis, [normal[c] for c in loose])
             if reduced is not None:
                 basis.append(reduced)
                 subset.append(h)
@@ -540,9 +518,9 @@ def enumerate_lattice_vertices(q: int, *, bound: int = 3) -> list[LatticeVertex]
     the one rule that also gives :func:`period_upper_bound`.
     """
     _check_vertex_search(q, bound)
-    rows = _signed_rows(q)
+    normals = _normals(q)
     points = {(1, corner) for corner in product((0, 1), repeat=2 * q)}
-    points.update(_representative_points(q, rows))
+    points.update(_representative_points(q, normals))
     closed = _square_closure(points)
     # the points are distinct, so their numerators over one common
     # denominator sort them as their coordinates do
@@ -551,7 +529,7 @@ def enumerate_lattice_vertices(q: int, *, bound: int = 3) -> list[LatticeVertex]
     for point in sorted(closed, key=lambda p: [n * (scale // p[0])
                                                for n in p[1]]):
         d, numerators = point
-        subset, fixed = _defining_set(point, rows)
+        subset, fixed = _defining_set(point, normals)
         vertices.append(LatticeVertex(
             tuple(Fraction(n, d) for n in numerators), subset, tuple(
                 Fixation("x" if c % 2 == 0 else "y", c // 2 + 1,

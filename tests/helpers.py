@@ -253,14 +253,15 @@ def cube_points(subset, q: int):
     that the independent ``subset`` pins with 2q - |subset| facet
     fixations, the point as (denominator, numerators) in lowest terms:
     every set of fixed coordinates, in ``combinations`` order, through
-    the system generator and cube filter of ``bishops.geometry``."""
+    the solve and cube filter of ``bishops.geometry``."""
     dim = 2 * q
-    rows = geometry._signed_rows(q)
-    for system in geometry._systems(
-            [rows[h] for h in subset], geometry._fixed_sets(
-                dim, combinations(range(dim), dim - len(subset)))):
-        for point in geometry._cube_filter(*system):
-            yield system[0], point
+    normals = geometry._normals(q)
+    rows = [normals[h] for h in subset]
+    for fixed in combinations(range(dim), dim - len(subset)):
+        system = geometry._solve(rows, fixed, dim)
+        if system is not None:
+            for point in geometry._cube_filter(fixed, *system):
+                yield fixed, point
 
 
 def walk_vertices(q: int) -> list:
@@ -269,9 +270,9 @@ def walk_vertices(q: int) -> list:
     ``combinations`` order, with each of its sets of fixed coordinates
     (:func:`cube_points`).  Each point keeps the first defining set that
     pins it; the fixed values are its own 0/1 coordinates.  Of
-    ``bishops.geometry`` it shares only the system generator and cube
-    filter: not the orbit representatives, the symmetry closure or the
-    greedy defining sets."""
+    ``bishops.geometry`` it shares only the solve and cube filter: not
+    the orbit representatives, the clique-graph criterion, the symmetry
+    closure or the greedy defining sets."""
     found = {}
     # the walk yields subsets in index order, which a stable sort by
     # size turns into combinations() order, size by size
@@ -285,6 +286,22 @@ def walk_vertices(q: int) -> list:
                     tuple(Fixation("x" if c % 2 == 0 else "y", c // 2 + 1,
                                    numerators[c] // d) for c in fixed))
     return sorted(found.values(), key=lambda vertex: vertex.point)
+
+
+def closed_form_vertices(q: int) -> set[tuple]:
+    """The vertex set in closed form, as points (x_1, y_1, ..., x_q, y_q):
+    each piece at a corner of the unit square or at its center
+    (1/2, 1/2), and a point with a piece at the center has another at a
+    corner of A = {(1, 0), (0, 1)} and one at a corner of
+    B = {(0, 0), (1, 1)}.  Imports nothing from ``bishops``."""
+    a_corners, b_corners = {(1, 0), (0, 1)}, {(0, 0), (1, 1)}
+    center = (Fraction(1, 2), Fraction(1, 2))
+    points = set()
+    for pieces in product((*a_corners, *b_corners, center), repeat=q):
+        if center not in pieces or (a_corners & {*pieces}
+                                    and b_corners & {*pieces}):
+            points.add(tuple(c for piece in pieces for c in piece))
+    return points
 
 
 def set_partitions(q: int) -> list[frozenset]:

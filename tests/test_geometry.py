@@ -41,6 +41,7 @@ from bishops.geometry import LatticeVertex, independence_walk
 from helpers import (
     FIXTURE_FIXATION_COORDINATES,
     SQUARE_SYMMETRIES,
+    closed_form_vertices,
     cube_points,
     example_clique_fixture,
     flat_orbit,
@@ -278,9 +279,9 @@ def brute_force_vertices(q):
 
 
 @cache
-def five_piece_vertices():
-    """``enumerate_lattice_vertices(5, bound=5)``, once a run."""
-    return enumerate_lattice_vertices(5, bound=5)
+def enumerated_vertices(q):
+    """``enumerate_lattice_vertices(q, bound=q)``, once a run."""
+    return enumerate_lattice_vertices(q, bound=q)
 
 
 @pytest.mark.parametrize("q", range(1, 5))
@@ -451,18 +452,18 @@ def test_half_integral_flats_by_pieces_joined(q, joined):
 def flat_denominators(q):
     """Per flat orbit, the D of the system of its spanning set with each
     set of fixed coordinates, in ``combinations`` order and 0 when
-    singular: by plain elimination (``_systems``), and by the
+    singular: by plain elimination (``_solve``), and by the
     clique-graph criterion (``_fixation_denominators``)."""
     dim = 2 * q
-    rows = geometry._signed_rows(q)
+    normals = geometry._normals(q)
     denominators = []
     for flat in geometry._flat_orbits(q):
         subset = geometry._spanning_set(*flat)
+        rows = [normals[h] for h in subset]
         sets = list(combinations(range(dim), dim - len(subset)))
-        solved = {fixed: d for fixed, _, d, _ in geometry._systems(
-            [rows[h] for h in subset], geometry._fixed_sets(dim, sets))}
+        solved = [geometry._solve(rows, fixed, dim) for fixed in sets]
         denominators.append((
-            [solved.get(fixed, 0) for fixed in sets],
+            [0 if system is None else system[1] for system in solved],
             list(geometry._fixation_denominators(*flat, sets))))
     return denominators
 
@@ -566,6 +567,13 @@ def test_swapped_fixations_pin_the_swapped_points(q):
                 swap_pieces(point) for point in points.get(fixed, set())}
 
 
+# both vertex searches, at a bound that admits q <= 4
+VERTEX_SEARCHES = pytest.mark.parametrize("search", [
+    lambda q: period_upper_bound(q, bound=4),
+    lambda q: enumerate_lattice_vertices(q, bound=4),
+], ids=["period_upper_bound", "enumerate_lattice_vertices"])
+
+
 def count_solves(monkeypatch) -> list[int]:
     """A one-item list that counts the calls of the int-only solve."""
     solves = [0]
@@ -592,10 +600,7 @@ def count_filters(monkeypatch) -> list[int]:
     return filters
 
 
-@pytest.mark.parametrize("search", [
-    lambda q: period_upper_bound(q, bound=4),
-    lambda q: enumerate_lattice_vertices(q, bound=4),
-], ids=["period_upper_bound", "enumerate_lattice_vertices"])
+@VERTEX_SEARCHES
 def test_vertex_searches_solve_and_filter_the_same_systems(monkeypatch,
                                                            search):
     # one rule for both searches: each flat orbit's spanning set, with
@@ -619,7 +624,7 @@ def test_period_upper_bound_at_five_pieces(monkeypatch):
     solves, filters = count_solves(monkeypatch), count_filters(monkeypatch)
     period = period_upper_bound(5, bound=5)
     assert (solves[0], len(filters)) == (148, 148)
-    assert period == 2 == denominator_lcm(five_piece_vertices())
+    assert period == 2 == denominator_lcm(enumerated_vertices(5))
 
 
 def test_period_upper_bound_at_six_pieces(monkeypatch):
@@ -641,15 +646,26 @@ def test_period_upper_bound_at_seven_pieces(monkeypatch):
 
 def test_vertices_at_six_pieces():
     # 5^6 - 2 3^6 + 2^7 + 1 points, all half-integral with matched pairs
-    vertices = enumerate_lattice_vertices(6, bound=6)
+    vertices = enumerated_vertices(6)
     assert len(vertices) == 14296 == 5 ** 6 - 2 * 3 ** 6 + 2 ** 7 + 1
     assert denominator_lcm(vertices) == 2
     assert verify_half_integrality(vertices)
 
 
+@pytest.mark.parametrize("q, count", [
+    (1, 4), (2, 16), (3, 88), (4, 496), (5, 2704), (6, 14296)])
+def test_closed_form_is_the_vertex_set(q, count):
+    # each piece at a corner or the center, a center piece with an A
+    # corner piece and a B corner piece: 5^q - 2 3^q + 2^(q+1) + 1
+    # points, by a route that shares no code with the package
+    closed_form = closed_form_vertices(q)
+    assert len(closed_form) == count == 5 ** q - 2 * 3 ** q + 2 ** (q + 1) + 1
+    assert {vertex.point for vertex in enumerated_vertices(q)} == closed_form
+
+
 def test_vertices_at_five_pieces():
     # the brute force over every independent set took 943 s of CPU
-    vertices = five_piece_vertices()
+    vertices = enumerated_vertices(5)
     assert len(vertices) == 2704
     assert sum(all(c.denominator == 1 for c in v.point)
                for v in vertices) == 1024
@@ -667,13 +683,14 @@ def test_vertices_at_five_pieces_are_pinned():
     # walk oracle of test_vertices_match_the_walk does not reach
     assert sha256("".join(
         repr((v.point, v.hyperplanes, v.fixations)) + "\n"
-        for v in five_piece_vertices())) == (
+        for v in enumerated_vertices(5))) == (
         "b7dc0ba21a4595ee91fc58284fca990a0b2414028b4ff7a4697bcd7e0b368547")
 
 
-def test_vertex_enumeration_builds_each_normal_once(monkeypatch):
-    # one row table, for both the flat orbits' systems and the
-    # defining sets: 12 at q = 4
+@VERTEX_SEARCHES
+def test_vertex_enumeration_builds_each_normal_once(monkeypatch, search):
+    # one normal table per search, for the flat orbits' systems and, in
+    # enumeration, the defining sets: 12 at q = 4
     calls = []
     honest = geometry.hyperplane_normal
 
@@ -682,7 +699,7 @@ def test_vertex_enumeration_builds_each_normal_once(monkeypatch):
         return honest(edge, q)
 
     monkeypatch.setattr(geometry, "hyperplane_normal", counted)
-    enumerate_lattice_vertices(4, bound=4)
+    search(4)
     assert len(calls) == 12
 
 
@@ -690,7 +707,7 @@ def test_defining_set_names_a_point_that_no_system_pins():
     # (1/2, 1/2) lies on no facet, and one piece has no hyperplanes
     with pytest.raises(AssertionError,
                        match=r"^no system pins the point \(1/2, 1/2\)$"):
-        geometry._defining_set((2, (1, 1)), geometry._signed_rows(1))
+        geometry._defining_set((2, (1, 1)), geometry._normals(1))
 
 
 @pytest.mark.skipif(not os.environ.get("BISHOPS_SLOW"),
@@ -699,7 +716,7 @@ def test_orbit_closure_at_five_pieces():
     # the closure by the reference action of the flat orbits' points,
     # against the closure that vertex enumeration computes
     assert orbit_closure(representative_points(5)) == {
-        vertex.point for vertex in five_piece_vertices()}
+        vertex.point for vertex in enumerated_vertices(5)}
 
 
 def test_half_integrality_rejects_bad_points():
