@@ -33,10 +33,14 @@ component's circle sum.  So a loose x_i = (a_k - b_l) / 2 is integral
 when blocks k and l share a component, and half of one circle sum
 plus or minus the other, up to even terms, when they do not: D = 2
 exactly when some piece with both coordinates loose has its blocks in
-different components, else D = 1.  The period bound is the lcm of
-those points' denominators; vertex enumeration adds the corners and
-maps the points by the symmetries of the pieces and of the square.  A
-vertex's first defining set fixes the facets it lies on and is the
+different components, else D = 1.  So both searches work on doubled
+points: elimination gives a D = 2 system's points as numerators over 2,
+the point 2x in {0, 1, 2}^(2q), where a 1 is a half, off both facets of
+its coordinate, and a 0 or a 2 lies on one; no point is reduced by a gcd
+or built as a ``Fraction`` until it is a vertex.  The period bound is
+2 when some point has a 1, else 1; vertex enumeration adds the corners
+and maps the points by the symmetries of the pieces and of the square.
+A vertex's first defining set fixes the facets it lies on and is the
 greedy basis, as in any matroid, of the normals through it restricted
 to its loose coordinates, by the walk's row reduction.  The
 clique-graph solve rebuilds a vertex, checking its clique values once.
@@ -48,7 +52,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -229,17 +233,17 @@ def _solve(rows: Sequence[Sequence[int]], fixed: Sequence[int], dim: int
     denominator dividing D."""
     loose = [c for c in range(dim) if c not in fixed]
     # N_L x_L = -N_F x_F, one right-hand column per fixed x
-    system = linalg._solve_augmented([[n[c] for c in loose] + [
-        -n[c] for c in fixed] for n in rows], len(loose))
+    system = linalg.solve_integral([[n[c] for c in loose] for n in rows],
+                                   [[-n[c] for c in fixed] for n in rows])
     return None if system is None else (loose, *system)
 
 
 def _cube_filter(fixed: Sequence[int], loose: Sequence[int], d: int,
-                 columns: Sequence[Sequence[int]]) -> Iterator[
-        tuple[int, tuple[int, ...]]]:
+                 columns: Sequence[Sequence[int]]
+                 ) -> Iterator[tuple[int, ...]]:
     """Yield each point of the unit cube that a 0/1 choice of the
-    ``fixed`` coordinates pins (see :func:`_solve`), in lowest terms as
-    (denominator, numerators).
+    ``fixed`` coordinates pins (see :func:`_solve`), as its numerators
+    over D = ``d``, unreduced: for D = 2, the doubled point 2x.
 
     A loose coordinate's numerator under each choice of values is a
     subset sum of its row of X.  Each row's subset sums are built once,
@@ -264,8 +268,7 @@ def _cube_filter(fixed: Sequence[int], loose: Sequence[int], d: int,
             numerators[c] = column[k]
         for t, c in enumerate(fixed):
             numerators[c] = (k >> (m - 1 - t) & 1) * d
-        g = gcd(d, *numerators)
-        yield d // g, tuple(n // g for n in numerators)
+        yield tuple(numerators)
 
 
 def verify_half_integrality(vertices: Iterable[LatticeVertex]) -> bool:
@@ -415,14 +418,14 @@ def _fixation_denominators(pi: Sequence[int], sigma: Sequence[int],
 
 
 def _representative_points(q: int, normals: dict[Edge, list[int]]
-                           ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield the cube points (:func:`_cube_filter`) of each system with
-    D = 2 of the spanning set (:func:`_spanning_set`) of each flat orbit
-    (:func:`_flat_orbits`), with the hyperplanes' ``normals``
-    (:func:`_normals`).  Only the F of each pair {F, F with every
-    x_i <-> y_i} that sorts first is taken: that swap maps each attack
-    equation to plus or minus itself and the cube to itself, so F's swap
-    image pins the swapped points.
+                           ) -> Iterator[tuple[int, ...]]:
+    """Yield the cube points of each system with D = 2 of the spanning
+    set (:func:`_spanning_set`) of each flat orbit (:func:`_flat_orbits`),
+    with the hyperplanes' ``normals`` (:func:`_normals`), each as the
+    doubled point 2x in {0, 1, 2}^(2q) (:func:`_cube_filter`).  Only the
+    F of each pair {F, F with every x_i <-> y_i} that sorts first is
+    taken: that swap maps each attack equation to plus or minus itself
+    and the cube to itself, so F's swap image pins the swapped points.
 
     Each system's D comes from the clique-graph criterion
     (:func:`_fixation_denominators`; its parity argument is in the
@@ -452,59 +455,55 @@ def _representative_points(q: int, normals: dict[Edge, list[int]]
 def period_upper_bound(q: int, *, bound: int = 3) -> int:
     """Geometric bound on the counting period: the denominator lcm of
     the lattice vertices, by the one rule of vertex enumeration, over
-    the points of :func:`_representative_points`, since the symmetries
-    keep every coordinate's denominator and a corner's is 1."""
+    the doubled points of :func:`_representative_points`, since the
+    symmetries keep every coordinate's denominator and a corner's is 1:
+    2 when some point has a half, a 1, else 1."""
     _check_vertex_search(q, bound)
     points = _representative_points(q, _normals(q))
-    return lcm(1, *{d for d, _ in points})
+    return max((2 if 1 in p else 1 for p in points), default=1)
 
 
-def _square_closure(points: Iterable[tuple[int, tuple[int, ...]]]
-                    ) -> set[tuple[int, tuple[int, ...]]]:
-    """Every image of the points (D, numerators) under S_q x D_4: one
-    symmetry of the square [0, D]^2, composed of x -> D - x, y -> D - y
-    and x <-> y, applied to every piece, then the pieces in any order.
-    Each image is in lowest terms when its point is."""
-    closed: set[tuple[int, tuple[int, ...]]] = set()
+def _square_closure(points: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """Every image of the doubled points 2x under S_q x D_4: one symmetry
+    of the square [0, 2]^2, composed of x -> 2 - x, y -> 2 - y and
+    x <-> y, applied to every piece, then the pieces in any order."""
+    closed: set[tuple[int, ...]] = set()
     for point in points:
         if point in closed:
             continue
-        d, numerators = point
-        pieces = list(zip(numerators[::2], numerators[1::2]))
+        pieces = list(zip(point[::2], point[1::2]))
         for swap, flip_x, flip_y in product((False, True), repeat=3):
-            moved = [(d - x if flip_x else x, d - y if flip_y else y)
+            moved = [(2 - x if flip_x else x, 2 - y if flip_y else y)
                      for x, y in ((b, a) if swap else (a, b)
                                   for a, b in pieces)]
-            closed.update((d, tuple(c for piece in order for c in piece))
+            closed.update(tuple(c for piece in order for c in piece)
                           for order in permutations(moved))
     return closed
 
 
-def _defining_set(point: tuple[int, tuple[int, ...]],
-                  normals: dict[Edge, list[int]]
+def _defining_set(point: tuple[int, ...], normals: dict[Edge, list[int]]
                   ) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
     """(hyperplanes, fixed coordinates) of the first system, fewest
     hyperplanes first and then in ``combinations`` order, that pins the
-    cube point (D, numerators), with the hyperplanes' ``normals``
+    doubled cube point 2x, with the hyperplanes' ``normals``
     (:func:`_normals`).  Such a system uses only hyperplanes through the
     point and facets it lies on, so it takes at least one hyperplane per
-    loose coordinate, inside (0, D), and then fixes every facet: the
+    loose coordinate, a 1, and then fixes every facet, a 0 or a 2: the
     first such basis in ``combinations`` order is the greedy one, as in
     any matroid."""
-    d, numerators = point
-    loose = [c for c, n in enumerate(numerators) if 0 < n < d]
+    loose = [c for c, n in enumerate(point) if n == 1]
     subset, basis = [], []
     for h, normal in normals.items():
-        if len(basis) < len(loose) and not sum(map(mul, normal, numerators)):
+        if len(basis) < len(loose) and not sum(map(mul, normal, point)):
             reduced = linalg.reduce_row(basis, [normal[c] for c in loose])
             if reduced is not None:
                 basis.append(reduced)
                 subset.append(h)
     if len(basis) == len(loose):
         return tuple(subset), tuple(
-            c for c, n in enumerate(numerators) if n in (0, d))
+            c for c, n in enumerate(point) if n in (0, 2))
     raise AssertionError("no system pins the point ("
-                         + ", ".join(str(Fraction(n, d)) for n in numerators)
+                         + ", ".join(str(Fraction(n, 2)) for n in point)
                          + ")")
 
 
@@ -515,25 +514,20 @@ def enumerate_lattice_vertices(q: int, *, bound: int = 3) -> list[LatticeVertex]
     every piece map the arrangement and the cube to themselves, so the
     vertices are the closure (:func:`_square_closure`) of the corners
     and of the representatives' points (:func:`_representative_points`),
-    the one rule that also gives :func:`period_upper_bound`.
+    the one rule that also gives :func:`period_upper_bound`.  The doubled
+    points 2x sort as the points do.
     """
     _check_vertex_search(q, bound)
     normals = _normals(q)
-    points = {(1, corner) for corner in product((0, 1), repeat=2 * q)}
+    points = set(product((0, 2), repeat=2 * q))
     points.update(_representative_points(q, normals))
-    closed = _square_closure(points)
-    # the points are distinct, so their numerators over one common
-    # denominator sort them as their coordinates do
-    scale = lcm(*(d for d, _ in closed))
     vertices = []
-    for point in sorted(closed, key=lambda p: [n * (scale // p[0])
-                                               for n in p[1]]):
-        d, numerators = point
+    for point in sorted(_square_closure(points)):
         subset, fixed = _defining_set(point, normals)
         vertices.append(LatticeVertex(
-            tuple(Fraction(n, d) for n in numerators), subset, tuple(
+            tuple(Fraction(n, 2) for n in point), subset, tuple(
                 Fixation("x" if c % 2 == 0 else "y", c // 2 + 1,
-                         numerators[c] // d) for c in fixed)))
+                         point[c] // 2) for c in fixed)))
     return vertices
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import factorial
+from math import factorial, prod
 from pathlib import Path
 
 from bishops import (
@@ -251,17 +251,19 @@ def orbit_closure(points) -> set[tuple]:
 def cube_points(subset, q: int):
     """Yield (fixed coordinates, point) for each point of the unit cube
     that the independent ``subset`` pins with 2q - |subset| facet
-    fixations, the point as (denominator, numerators) in lowest terms:
-    every set of fixed coordinates, in ``combinations`` order, through
-    the solve and cube filter of ``bishops.geometry``."""
+    fixations, the point as a tuple of ``Fraction``: every set of fixed
+    coordinates, in ``combinations`` order, through the solve and cube
+    filter of ``bishops.geometry``, whose numerators are over the
+    system's D."""
     dim = 2 * q
     normals = geometry._normals(q)
     rows = [normals[h] for h in subset]
     for fixed in combinations(range(dim), dim - len(subset)):
         system = geometry._solve(rows, fixed, dim)
         if system is not None:
-            for point in geometry._cube_filter(fixed, *system):
-                yield fixed, point
+            d = system[1]
+            for numerators in geometry._cube_filter(fixed, *system):
+                yield fixed, tuple(Fraction(n, d) for n in numerators)
 
 
 def walk_vertices(q: int) -> list:
@@ -280,11 +282,9 @@ def walk_vertices(q: int) -> list:
                          key=len):
         for fixed, point in cube_points(subset, q):
             if point not in found:
-                d, numerators = point
-                found[point] = LatticeVertex(
-                    tuple(Fraction(n, d) for n in numerators), subset,
-                    tuple(Fixation("x" if c % 2 == 0 else "y", c // 2 + 1,
-                                   numerators[c] // d) for c in fixed))
+                found[point] = LatticeVertex(point, subset, tuple(
+                    Fixation("x" if c % 2 == 0 else "y", c // 2 + 1,
+                             int(point[c])) for c in fixed))
     return sorted(found.values(), key=lambda vertex: vertex.point)
 
 
@@ -342,25 +342,45 @@ def spanned_flat(subset, q: int) -> tuple[frozenset, frozenset]:
                  in reference_signed_cliques(SignedGraph(q, tuple(subset))))
 
 
+def cycle_types(q: int, largest: int):
+    """Yield each partition of q into parts of at most ``largest``, in
+    nonincreasing order, as a tuple: with ``largest`` = q, the cycle
+    types of S_q."""
+    if q == 0:
+        yield ()
+    for part in range(min(q, largest), 0, -1):
+        for rest in cycle_types(q - part, part):
+            yield part, *rest
+
+
 def partition_pair_orbit_counts(q: int) -> dict[int, int]:
     """Orbits of S_q x Z_2 on the pairs (pi, sigma) of partitions of the
     q pieces, by rank 2q - |pi| - |sigma|, with S_q relabelling both and
-    Z_2 swapping them, by Burnside's lemma over every permutation g:
-    (g, 1) fixes the pairs of partitions g fixes, and (g, swap) fixes
-    (pi, g pi) for each partition pi that g^2 fixes.  Shares no code
+    Z_2 swapping them, by Burnside's lemma: (g, 1) fixes the pairs of
+    partitions g fixes, and (g, swap) fixes (pi, g pi) for each
+    partition pi that g^2 fixes.  Both counts depend only on the cycle
+    type of g, so one permutation of each type, its cycles runs of
+    consecutive pieces, stands for its class of q!/z permutations,
+    z = prod k^m_k m_k! for m_k cycles of length k.  Shares no code
     with ``bishops.geometry``."""
     partitions = set_partitions(q)
     total: Counter = Counter()
-    for labels in permutations(range(1, q + 1)):
+    for shape in cycle_types(q, q):
+        labels, start = [], 1
+        for length in shape:
+            labels += [*range(start + 1, start + length), start]
+            start += length
+        size = factorial(q) // prod(length ** m * factorial(m) for length, m
+                                    in Counter(shape).items())
         squared = [labels[i - 1] for i in labels]
         fixed = Counter(q - len(p) for p in partitions
                         if relabel_partition(p, labels) == p)
         for a, x in fixed.items():
             for b, y in fixed.items():
-                total[a + b] += x * y
+                total[a + b] += size * x * y
         for p in partitions:
             if relabel_partition(p, squared) == p:
-                total[2 * (q - len(p))] += 1
+                total[2 * (q - len(p))] += size
     group = 2 * factorial(q)
     assert all(count % group == 0 for count in total.values())
     return {rank: total[rank] // group for rank in sorted(total)}

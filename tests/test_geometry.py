@@ -393,14 +393,12 @@ def representative_points(q):
     """The points of the cube that the flat orbits' spanning sets pin,
     with every set of fixed coordinates (``helpers.cube_points``), not
     one of each x <-> y pair as the package solves them."""
-    return {tuple(Fraction(n, d) for n in numerators)
-            for flat in geometry._flat_orbits(q)
-            for _, (d, numerators)
-            in cube_points(geometry._spanning_set(*flat), q)}
+    return {point for flat in geometry._flat_orbits(q)
+            for _, point in cube_points(geometry._spanning_set(*flat), q)}
 
 
 @pytest.mark.parametrize("q", range(1, 6))
-def test_orbit_representatives_partition_the_independent_sets(q):
+def test_flat_orbits_partition_the_independent_sets(q):
     # each flat's spanning set is independent and spans it; under
     # relabelling and x -> 1 - x, taken by the reference action, the
     # flats' orbits are disjoint and together are the flats that the
@@ -419,8 +417,8 @@ def test_orbit_representatives_partition_the_independent_sets(q):
         product(set_partitions(q), repeat=2))
 
 
-@pytest.mark.parametrize("q", range(1, 6))
-def test_orbit_representatives_match_burnside_counts(q):
+@pytest.mark.parametrize("q", range(1, 9))
+def test_flat_orbits_match_burnside_counts(q):
     # by rank, the number of hyperplanes in a flat's spanning set
     ranks = Counter(len(geometry._spanning_set(*flat))
                     for flat in geometry._flat_orbits(q))
@@ -429,8 +427,9 @@ def test_orbit_representatives_match_burnside_counts(q):
 
 def test_burnside_counts_of_partition_pairs():
     assert [sum(partition_pair_orbit_counts(q).values())
-            for q in range(1, 7)] == [1, 3, 7, 21, 54, 167]
-    assert sum(1 for _ in geometry._flat_orbits(6)) == 167
+            for q in range(1, 9)] == [1, 3, 7, 21, 54, 167, 491, 1586]
+    assert [sum(1 for _ in geometry._flat_orbits(q))
+            for q in (6, 7, 8)] == [167, 491, 1586]
 
 
 @pytest.mark.parametrize("q, joined", [
@@ -441,8 +440,8 @@ def test_half_integral_flats_by_pieces_joined(q, joined):
     # three pieces
     counts = Counter()
     for pi, sigma in geometry._flat_orbits(q):
-        if any(d == 2 for _, (d, _) in cube_points(
-                geometry._spanning_set(pi, sigma), q)):
+        if any(c.denominator == 2 for _, point in cube_points(
+                geometry._spanning_set(pi, sigma), q) for c in point):
             counts[sum(pi.count(b) > 1 or sigma.count(c) > 1
                        for b, c in zip(pi, sigma))] += 1
     assert counts == joined
@@ -526,17 +525,35 @@ def test_square_closure_is_the_reference_orbit(q):
     # action: the flat orbits' points already meet every S_q orbit
     # of vertices at q <= 5, so the vertex sets alone do not pin D_4
     for vertex in brute_force_vertices(q):
-        d = denominator_lcm([vertex])
-        images = geometry._square_closure(
-            [(d, tuple(int(c * d) for c in vertex.point))])
-        assert {tuple(Fraction(n, e) for n in numerators)
-                for e, numerators in images} == orbit_closure([vertex.point])
+        images = geometry._square_closure([tuple(int(2 * c)
+                                                 for c in vertex.point)])
+        assert {tuple(Fraction(n, 2) for n in point)
+                for point in images} == orbit_closure([vertex.point])
 
 
 @pytest.mark.parametrize("q", range(1, 5))
 def test_period_upper_bound_matches_brute_force(q):
     assert (period_upper_bound(q, bound=4)
             == denominator_lcm(brute_force_vertices(q)) == (1, 1, 2, 2)[q - 1])
+
+
+@pytest.mark.parametrize("q", range(1, 6))
+def test_representative_points_are_doubled(monkeypatch, q):
+    # every cube point of a D = 2 system is 2x in {0, 1, 2}^(2q), and
+    # the bound is 2 exactly when some point has a 1, a half: on the
+    # points of both searches, and on only their integral ones, which
+    # some D = 2 systems pin and which hold a 2 from q = 3
+    points = list(geometry._representative_points(q, geometry._normals(q)))
+    assert all(len(point) == 2 * q and all(type(n) is int and 0 <= n <= 2
+                                           for n in point)
+               for point in points)
+    integral = [point for point in points if 1 not in point]
+    assert any(2 in point for point in integral) == (q >= 3)
+    for kept in (points, integral):
+        monkeypatch.setattr(geometry, "_representative_points",
+                            lambda q, normals: iter(kept))
+        assert (period_upper_bound(q, bound=5) == 2) == any(
+            1 in point for point in kept)
 
 
 def swap_pieces(point):
@@ -557,9 +574,8 @@ def test_swapped_fixations_pin_the_swapped_points(q):
         if not independent:
             continue
         points = {}
-        for fixed, (d, numerators) in cube_points(subset, q):
-            points.setdefault(fixed, set()).add(
-                tuple(Fraction(n, d) for n in numerators))
+        for fixed, point in cube_points(subset, q):
+            points.setdefault(fixed, set()).add(point)
         for fixed in combinations(range(dim), dim - len(subset)):
             marks = swap_pieces(tuple(int(c in fixed) for c in range(dim)))
             image = tuple(c for c, mark in enumerate(marks) if mark)
@@ -575,15 +591,15 @@ VERTEX_SEARCHES = pytest.mark.parametrize("search", [
 
 
 def count_solves(monkeypatch) -> list[int]:
-    """A one-item list that counts the calls of the int-only solve."""
+    """A one-item list that counts the calls of the solve kernel."""
     solves = [0]
-    solve = linalg._solve_augmented
+    solve = linalg.solve_integral
 
-    def counted_solve(rows, size):
+    def counted_solve(rows, rhs):
         solves[0] += 1
-        return solve(rows, size)
+        return solve(rows, rhs)
 
-    monkeypatch.setattr(linalg, "_solve_augmented", counted_solve)
+    monkeypatch.setattr(linalg, "solve_integral", counted_solve)
     return solves
 
 
@@ -707,16 +723,31 @@ def test_defining_set_names_a_point_that_no_system_pins():
     # (1/2, 1/2) lies on no facet, and one piece has no hyperplanes
     with pytest.raises(AssertionError,
                        match=r"^no system pins the point \(1/2, 1/2\)$"):
-        geometry._defining_set((2, (1, 1)), geometry._normals(1))
+        geometry._defining_set((1, 1), geometry._normals(1))
 
 
 @pytest.mark.skipif(not os.environ.get("BISHOPS_SLOW"),
-                    reason="opt-in, about 30 s: set BISHOPS_SLOW=1")
+                    reason="opt-in, about 11 s: set BISHOPS_SLOW=1")
 def test_orbit_closure_at_five_pieces():
     # the closure by the reference action of the flat orbits' points,
     # against the closure that vertex enumeration computes
     assert orbit_closure(representative_points(5)) == {
         vertex.point for vertex in enumerated_vertices(5)}
+
+
+@pytest.mark.skipif(not os.environ.get("BISHOPS_SLOW"),
+                    reason="opt-in, about 11 s: set BISHOPS_SLOW=1")
+def test_closed_form_at_seven_pieces():
+    # Finding 2 by the solve route: the corners and the flat orbits'
+    # doubled points, closed under S_7 x D_4, are the 74,008 points of
+    # the closed form, which shares no code with the package
+    normals = geometry._normals(7)
+    points = {*product((0, 2), repeat=14),
+              *geometry._representative_points(7, normals)}
+    closed = geometry._square_closure(points)
+    assert len(closed) == 74008
+    assert {tuple(Fraction(n, 2) for n in point)
+            for point in closed} == closed_form_vertices(7)
 
 
 def test_half_integrality_rejects_bad_points():

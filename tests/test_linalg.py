@@ -332,24 +332,6 @@ def test_solve_integral_on_incidence_transposes(system):
         assert [Fraction(row[c], d) for row in numerators] == point
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(square_systems(small_int), incidence_transposes()))
-@example(([], []))
-@example(([[0]], [[1]]))
-# a dependent first row: the second row's pivot falls in the rhs
-@example(([[1, 1], [1, 1]], [[0], [1]]))
-@example(([[1, -1, 0], [0, 1, -1], [1, 0, -1]], [[1, 0], [0, 1], [1, 2]]))
-# nonsingular, with back substitution into every row
-@example(([[1, 1], [1, -1]], [[1, 0], [0, 1]]))
-def test_int_entry_matches_solve_integral(system):
-    # the augmented int rows that vertex enumeration and the period
-    # bound build go through the same body past the checks
-    rows, rhs = system
-    augmented = [[*row, *b] for row, b in zip(rows, rhs)]
-    assert (linalg._solve_augmented(augmented, len(rows))
-            == linalg.solve_integral(rows, rhs))
-
-
 def test_ragged_rows_are_refused():
     with pytest.raises(ValueError, match="same length"):
         linalg.rank([[1, 2], [3]])
