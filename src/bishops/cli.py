@@ -55,8 +55,15 @@ def _fraction_str(value: Fraction) -> str:
 
 
 def _print_json(payload: dict) -> None:
+    """Write the payload as indent-2 JSON in batches of the encoder's
+    chunks, so the whole text is never held in memory at once."""
     import json
-    print(json.dumps(payload, indent=2))
+    from itertools import islice
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    # one write per chunk, as json.dump makes, is about four times slower
+    while batch := "".join(islice(chunks, 8192)):
+        sys.stdout.write(batch)
+    print()
 
 
 def _quasipolynomial_dict(quasi: Quasipolynomial) -> dict:

@@ -33,17 +33,22 @@ component's circle sum.  So a loose x_i = (a_k - b_l) / 2 is integral
 when blocks k and l share a component, and half of one circle sum
 plus or minus the other, up to even terms, when they do not: D = 2
 exactly when some piece with both coordinates loose has its blocks in
-different components, else D = 1.  So both searches work on doubled
-points: elimination gives a D = 2 system's points as numerators over 2,
-the point 2x in {0, 1, 2}^(2q), where a 1 is a half, off both facets of
-its coordinate, and a 0 or a 2 lies on one; no point is reduced by a gcd
-or built as a ``Fraction`` until it is a vertex.  The period bound is
-2 when some point has a 1, else 1; vertex enumeration adds the corners
-and maps the points by the symmetries of the pieces and of the square.
-A vertex's first defining set fixes the facets it lies on and is the
-greedy basis, as in any matroid, of the normals through it restricted
-to its loose coordinates, by the walk's row reduction.  The
-clique-graph solve rebuilds a vertex, checking its clique values once.
+different components, else D = 1.  Psi's components refine those of
+the clique graph C, and a piece with a fixed coordinate joins its two
+blocks in Psi, so D = 2 exactly when Psi, one circle per component, has
+more circles than C has components: one frame-matroid pass over the
+fixed coordinates' edges decides both nonsingularity and D.  So both
+searches work on doubled points: elimination gives a D = 2 system's
+points as numerators over 2, the point 2x in {0, 1, 2}^(2q), where a 1
+is a half, off both facets of its coordinate, and a 0 or a 2 lies on
+one; no point is reduced by a gcd or built as a ``Fraction`` until it
+is a vertex.  The period bound is 2 when some point has a 1, else 1;
+vertex enumeration adds the corners and maps the points by the
+symmetries of the pieces and of the square.  A vertex's first defining
+set fixes the facets it lies on and is the greedy basis, as in any
+matroid, of the normals through it restricted to its loose
+coordinates, by the walk's row reduction.  The clique-graph solve
+rebuilds a vertex, checking its clique values once.
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ from .signed_graph import (
     CliqueGraph,
     Edge,
     SignedGraph,
+    _frame,
     _require_sign,
     _solve_transpose,
     clique_graph,
@@ -370,12 +376,15 @@ def _fixation_denominators(pi: Sequence[int], sigma: Sequence[int],
 
     Psi has a node per block of pi and of sigma; fixing x_i adds a
     positive edge, y_i a negative one, from piece i's block of pi to its
-    block of sigma.  A union-find keeps each node's parity of path sign
-    to its root, and accepts an edge that joins two components, not
-    both with a circle, or that closes a negative first circle of its
-    component; any other edge is dependent, so the square system is
-    singular.  D = 2 exactly when a piece with both coordinates loose
-    has its two blocks in different components.
+    block of sigma.  F has one edge per node of Psi, so the system is
+    nonsingular exactly when one frame-matroid pass
+    (:func:`signed_graph._frame`) keeps every edge: then each component
+    of Psi holds one circle, a negative one.  Psi's components refine
+    those of the clique graph C, which the x edges of all the pieces
+    join, and a piece with a fixed coordinate joins its two blocks in
+    Psi.  So some piece with both coordinates loose has its two blocks
+    in different components, which is D = 2, exactly when Psi has more
+    circles than C has components.
     """
     blocks = max(pi) + 1
     nodes = blocks + max(sigma) + 1
@@ -383,38 +392,11 @@ def _fixation_denominators(pi: Sequence[int], sigma: Sequence[int],
     # a fixed y, the negative edge
     ends = [(pi[c >> 1], blocks + sigma[c >> 1], c & 1)
             for c in range(2 * len(pi))]
+    # the components of C, which the x edges of all the pieces join
+    components = nodes - _frame(nodes, ends[::2])[0]
     for fixed in fixed_sets:
-        parent, parity = list(range(nodes)), [0] * nodes
-        circled = [False] * nodes
-        for c in fixed:
-            k, l, sign = ends[c]
-            while parent[k] != k:
-                sign ^= parity[k]
-                k = parent[k]
-            while parent[l] != l:
-                sign ^= parity[l]
-                l = parent[l]
-            if k != l and not (circled[k] and circled[l]):
-                parent[k], parity[k] = l, sign
-                circled[l] = circled[l] or circled[k]
-            elif k == l and sign and not circled[k]:
-                circled[k] = True
-            else:
-                yield 0
-                break
-        else:
-            d = 1
-            for c in range(0, len(ends), 2):
-                if c not in fixed and c + 1 not in fixed:
-                    k, l, _ = ends[c]
-                    while parent[k] != k:
-                        k = parent[k]
-                    while parent[l] != l:
-                        l = parent[l]
-                    if k != l:
-                        d = 2
-                        break
-            yield d
+        kept, circles = _frame(nodes, map(ends.__getitem__, fixed))
+        yield 0 if kept < len(fixed) else 2 if circles > components else 1
 
 
 def _representative_points(q: int, normals: dict[Edge, list[int]]

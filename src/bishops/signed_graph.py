@@ -5,16 +5,20 @@ keep their construction order, loops are not allowed.  The module covers
 components, balance and rank, incidence matrices, signed cliques, the
 clique graph, irredundant reduction, negative-1-forest recognition with
 its incidence-transpose solve, and a text exchange format, with all
-connectivity on union-find.  Balance is read off the signed double cover.
-One pass unions each edge into its sign's forest: the signed cliques are
-its classes, and the irredundant reduction is the edges that merged two.
+connectivity on union-find.  Rank and balance come from one greedy pass
+of the frame matroid (:func:`_frame`), on a union-find that keeps path
+sign parity: it keeps at most one circle, a negative one, in each of
+its components, and its kept edges number |N| minus the balanced
+components.  One pass unions each edge into its sign's forest: the
+signed cliques are its classes, and the irredundant reduction is the
+edges that merged two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import linalg
 from .board import _require_int
@@ -107,24 +111,51 @@ def components(graph: SignedGraph) -> list[list[int]]:
     return forest.classes()
 
 
-def rank(graph: SignedGraph) -> int:
-    """|N| - b, where b counts the balanced components.
+def _frame(size: int, edges: Iterable[tuple[int, int, int]]
+           ) -> tuple[int, int]:
+    """(kept, circles) of one greedy pass of the frame matroid over the
+    ``edges`` (a, b, odd) on the nodes 0..size-1, odd being 1 for a
+    negative edge.
 
-    In the double cover node v has copies v and v'; a positive edge
-    joins like copies and a negative edge unlike ones.  A balanced
-    component lifts to two classes that split each node's copies and an
-    unbalanced one to one class, so b is half the split classes.  The
-    result equals the incidence matrix's rank, as the tests check.
+    A union-find keeps each node's parity of path sign to its parent,
+    halving paths as it finds.  An edge is kept when it joins two
+    components that do not both hold a circle, or when it closes its
+    component's first circle and that circle is negative; any other edge
+    is dependent.  So the kept edges are a basis: each of their
+    components holds at most one circle, and kept, the joins plus the
+    circles, is the rank |N| - b, b counting the balanced components of
+    the graph (Zaslavsky, "Signed graphs", 1982).  When every edge is
+    kept, circles counts the components that hold one.
     """
-    q = graph.q
-    cover = _UnionFind(2 * q)
-    for i, j, sign in graph.edges:
-        flip = 0 if sign == POSITIVE else q
-        cover.union(i - 1, j - 1 + flip)
-        cover.union(q + i - 1, q + j - 1 - flip)
-    split = {cover.find(v) for v in range(2 * q)
-             if cover.find(v) != cover.find((v + q) % (2 * q))}
-    return q - len(split) // 2
+    parent, parity = list(range(size)), [0] * size
+    circled = [False] * size
+    joined = circles = 0
+    for a, b, odd in edges:
+        # find each end's root in turn, folding its parity into odd
+        for node in (a, b):
+            while parent[node] != node:
+                up = parent[node]
+                parity[node] ^= parity[up]
+                parent[node] = parent[up]
+                odd ^= parity[node]
+                node = parent[node]
+            a, b = b, node
+        if a != b and not (circled[a] and circled[b]):
+            parent[a], parity[a] = b, odd
+            circled[b] = circled[b] or circled[a]
+            joined += 1
+        elif a == b and odd and not circled[a]:
+            circled[a] = True
+            circles += 1
+    return joined + circles, circles
+
+
+def rank(graph: SignedGraph) -> int:
+    """|N| - b, where b counts the balanced components: the edges that
+    one frame-matroid pass keeps (:func:`_frame`).  The result equals
+    the incidence matrix's rank, as the tests check."""
+    return _frame(graph.q, ((i - 1, j - 1, sign == NEGATIVE)
+                            for i, j, sign in graph.edges))[0]
 
 
 def incidence_matrix(graph: SignedGraph) -> list[list[int]]:
@@ -187,11 +218,11 @@ def _solve_transpose(graph: SignedGraph,
     """Exact solution of H(graph)^T w = rhs, or None when the graph is
     not a negative 1-forest.
 
-    A square graph is recognized on its double cover: full rank means no
-    component is balanced, so each one holds a circle, and |E| = |N|
-    leaves each exactly one, which is negative.  H^T is then eliminated
-    once, and whether that elimination finds H singular must agree with
-    the recognition, in both directions.
+    A square graph is recognized by its frame-matroid rank (:func:`rank`):
+    full rank means no component is balanced, so each one holds a
+    circle, and |E| = |N| leaves each exactly one, which is negative.
+    H^T is then eliminated once, and whether that elimination finds H
+    singular must agree with the recognition, in both directions.
     """
     if len(graph.edges) != graph.q:
         return None

@@ -2,6 +2,7 @@
 
 from itertools import combinations
 from random import Random
+from time import process_time
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from bishops._testkit import (
     random_signed_graph,
     random_signed_tree,
 )
+from bishops.signed_graph import _frame
 
 from helpers import (
     example_clique_fixture,
@@ -98,6 +100,46 @@ def test_rank_counts_only_balanced_components():
         (3, 4, POSITIVE),                    # balanced edge; node 5 isolated
     ))
     assert rank(graph) == 5 - 2
+
+
+@pytest.mark.parametrize("size, edges, last, kept, circles", [
+    # the last edge is dropped: it closes a positive circle
+    (3, ((0, 1, 0), (1, 2, 1), (0, 2, 1)), False, 2, 0),
+    # it closes a second circle in one component
+    (2, ((0, 1, 0), (0, 1, 1), (0, 1, 1)), False, 2, 1),
+    # it joins two unbalanced components
+    (4, ((0, 1, 0), (0, 1, 1), (2, 3, 1), (2, 3, 0), (1, 2, 0)), False, 4, 2),
+    # the last edge is kept: it closes a negative circle
+    (3, ((0, 1, 0), (1, 2, 1), (0, 2, 0)), True, 3, 1),
+    # it joins an unbalanced component to a balanced one
+    (4, ((0, 1, 0), (0, 1, 1), (2, 3, 0), (1, 2, 1)), True, 4, 1),
+])
+def test_frame_keeps_or_drops_the_last_edge(size, edges, last, kept, circles):
+    assert _frame(size, edges) == (kept, circles)
+    assert _frame(size, edges[:-1])[0] == kept - last
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_graphs())
+def test_frame_keeps_exactly_the_independent_sets(graph):
+    # independent: the incidence matrix has full column rank; then each
+    # component holds at most one circle, so the circles are |E| - |N| + c
+    kept, circles = _frame(graph.q, (
+        (i - 1, j - 1, sign == NEGATIVE) for i, j, sign in graph.edges))
+    if linalg.rank(incidence_matrix(graph)) == len(graph.edges):
+        assert (kept, circles) == (len(graph.edges), cyclomatic(graph))
+    else:
+        assert kept < len(graph.edges)
+
+
+def test_frame_is_near_linear_on_a_star():
+    # every edge (1, k) makes the finds climb one root chain unless the
+    # paths are halved, which takes the pass quadratic
+    star = SignedGraph(32_000, tuple(
+        (1, k, POSITIVE if k % 3 else NEGATIVE) for k in range(2, 32_001)))
+    start = process_time()
+    assert rank(star) == 31_999
+    assert process_time() - start < 2
 
 
 def test_incidence_column_convention():
