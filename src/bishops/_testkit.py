@@ -5,6 +5,7 @@ from a seed.  Each suite returns None, or what failed."""
 
 from __future__ import annotations
 
+from itertools import compress
 from random import Random
 
 from . import linalg
@@ -20,7 +21,7 @@ from .signed_graph import (
     NEGATIVE,
     POSITIVE,
     SignedGraph,
-    _UnionFind,
+    _forest,
     clique_graph,
     incidence_matrix,
     irredundant_reduction,
@@ -116,30 +117,23 @@ def random_clique_solve_instance(
                                 max_edges=CLIQUE_SOLVE_MAX_Q + 3)
     clique = clique_graph(graph)
     n_pos = len(clique.pos)
-    forest = _UnionFind(n_pos + len(clique.neg))
     pieces = list(range(1, graph.q + 1))
     rng.shuffle(pieces)
-    tree_pieces: list[int] = []
-    for piece in pieces:
-        k, l = clique.edges[piece - 1]
-        if forest.union(k, n_pos + l):
-            tree_pieces.append(piece)
+    labels, merged = _forest(n_pos + len(clique.neg), (
+        (k, n_pos + l) for k, l in (clique.edges[p - 1] for p in pieces)))
+    tree_pieces = list(compress(pieces, merged))
     # every clique node is an endpoint of some piece edge, so the tree
-    # pieces span all clique nodes; doubling one piece per component
-    # adds the negative circle that component needs
-    doubled: set[int] = set()
-    seen_roots: set[int] = set()
+    # pieces span all clique nodes; doubling the first tree piece of each
+    # component, keyed by its label, adds the negative circle it needs
+    doubled: dict[int, int] = {}
     for piece in tree_pieces:
-        root = forest.find(clique.edges[piece - 1][0])
-        if root not in seen_roots:
-            seen_roots.add(root)
-            doubled.add(piece)
+        doubled.setdefault(labels[clique.edges[piece - 1][0]], piece)
     low, high = FIXATION_VALUE_RANGE
     fixations = []
     for piece in tree_pieces:
         axis = rng.choice(("x", "y"))
         fixations.append(Fixation(axis, piece, rng.randint(low, high)))
-        if piece in doubled:
+        if piece in doubled.values():
             other = "y" if axis == "x" else "x"
             fixations.append(Fixation(other, piece, rng.randint(low, high)))
     return graph, fixations

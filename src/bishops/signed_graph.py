@@ -5,19 +5,24 @@ keep their construction order, loops are not allowed.  The module covers
 components, balance and rank, incidence matrices, signed cliques, the
 clique graph, irredundant reduction, negative-1-forest recognition with
 its incidence-transpose solve, and a text exchange format, with all
-connectivity on union-find.  Rank and balance come from one greedy pass
-of the frame matroid (:func:`_frame`), on a union-find that keeps path
-sign parity: it keeps at most one circle, a negative one, in each of
-its components, and its kept edges number |N| minus the balanced
-components.  One pass unions each edge into its sign's forest: the
-signed cliques are its classes, and the irredundant reduction is the
-edges that merged two.
+connectivity in two greedy passes, each a union-find whose finds halve
+the paths.  Rank and balance come from one pass of the frame matroid
+(:func:`_frame`), whose union-find keeps path sign parity: it keeps at
+most one circle, a negative one, in each of its components, and its
+kept edges number |N| minus the balanced components.  Everything else
+is one pass of the graphic matroid (:func:`_forest`), which labels each
+node by the least node of its class and flags the edges that merged two
+classes: over all edges its classes are the components, and over the
+sign double, each piece once in the positive class and once in the
+negative, its classes are the signed cliques and its merging edges the
+irredundant reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -66,49 +71,57 @@ class SignedGraph:
         object.__setattr__(self, "edges", tuple(normalized))
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
+def _forest(size: int, pairs: Iterable[tuple[int, int]]
+            ) -> tuple[list[int], list[bool]]:
+    """(labels, merged) of one greedy pass of the graphic matroid over the
+    ``pairs`` (a, b) on the nodes 0..size-1: labels[v] is the least node
+    of v's class, and merged[k] says whether pair k joined two classes,
+    so the merging pairs are a spanning forest.
 
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the two classes; False if already together."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-    def classes(self) -> list[list[int]]:
-        """1-based classes, each ascending, listed by least node."""
-        groups: dict[int, list[int]] = {}
-        for node in range(len(self.parent)):
-            groups.setdefault(self.find(node), []).append(node + 1)
-        return list(groups.values())
+    Each find halves its path, and a merge hangs the larger root under
+    the smaller, so no node's parent is larger than the node and one
+    ascending sweep turns the parents into the labels.
+    """
+    parent = list(range(size))
+    merged = []
+    for a, b in pairs:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a > b:
+            a, b = b, a
+        parent[b] = a
+        merged.append(a != b)
+    for node in range(size):
+        parent[node] = parent[parent[node]]
+    return parent, merged
 
 
-def _by_sign(graph: SignedGraph) -> tuple[list[Edge], _UnionFind, _UnionFind]:
-    """(edges that merge two classes of their sign, + forest, - forest)."""
-    forests = {POSITIVE: _UnionFind(graph.q), NEGATIVE: _UnionFind(graph.q)}
-    merged = [edge for edge in graph.edges
-              if forests[edge[2]].union(edge[0] - 1, edge[1] - 1)]
-    return merged, forests[POSITIVE], forests[NEGATIVE]
+def _classes(labels: Sequence[int]) -> list[list[int]]:
+    """The 1-based nodes of each label, ascending, listed by least node."""
+    classes: dict[int, list[int]] = {}
+    for node, label in enumerate(labels, 1):
+        classes.setdefault(label, []).append(node)
+    return list(classes.values())
+
+
+def _by_sign(graph: SignedGraph) -> tuple[list[int], list[bool]]:
+    """One :func:`_forest` pass on the sign double: piece i is node i - 1
+    in the positive class and q + i - 1 in the negative one."""
+    q = graph.q
+    return _forest(2 * q, ((i - 1, j - 1) if sign == POSITIVE
+                           else (q + i - 1, q + j - 1)
+                           for i, j, sign in graph.edges))
 
 
 def components(graph: SignedGraph) -> list[list[int]]:
     """Connected components of the underlying graph, each sorted, listed
     by least node."""
-    forest = _UnionFind(graph.q)
-    for i, j, _ in graph.edges:
-        forest.union(i - 1, j - 1)
-    return forest.classes()
+    labels = _forest(graph.q, ((i - 1, j - 1) for i, j, _ in graph.edges))[0]
+    return _classes(labels)
 
 
 def _frame(size: int, edges: Iterable[tuple[int, int, int]]
@@ -131,15 +144,19 @@ def _frame(size: int, edges: Iterable[tuple[int, int, int]]
     circled = [False] * size
     joined = circles = 0
     for a, b, odd in edges:
-        # find each end's root in turn, folding its parity into odd
-        for node in (a, b):
-            while parent[node] != node:
-                up = parent[node]
-                parity[node] ^= parity[up]
-                parent[node] = parent[up]
-                odd ^= parity[node]
-                node = parent[node]
-            a, b = b, node
+        # find each end's root, folding its parity into odd
+        while parent[a] != a:
+            up = parent[a]
+            parity[a] ^= parity[up]
+            parent[a] = parent[up]
+            odd ^= parity[a]
+            a = parent[a]
+        while parent[b] != b:
+            up = parent[b]
+            parity[b] ^= parity[up]
+            parent[b] = parent[up]
+            odd ^= parity[b]
+            b = parent[b]
         if a != b and not (circled[a] and circled[b]):
             parent[a], parity[a] = b, odd
             circled[b] = circled[b] or circled[a]
@@ -173,8 +190,8 @@ def signed_cliques(graph: SignedGraph) -> tuple[list[list[int]], list[list[int]]
     """(positive cliques, negative cliques): the components of the
     spanning all-positive and all-negative subgraphs.  Isolated nodes
     appear as singletons on both sides."""
-    _, positive, negative = _by_sign(graph)
-    return positive.classes(), negative.classes()
+    q, labels = graph.q, _by_sign(graph)[0]
+    return _classes(labels[:q]), _classes(labels[q:])
 
 
 @dataclass(frozen=True)
@@ -210,7 +227,8 @@ def irredundant_reduction(graph: SignedGraph) -> SignedGraph:
     """Subgraph with the same signed cliques in which both sign classes
     are forests: an edge survives iff it joins two components of its own
     sign class among the edges kept so far.  Keeps 2q - |A| - |B| edges."""
-    return SignedGraph(graph.q, tuple(_by_sign(graph)[0]))
+    merged = _by_sign(graph)[1]
+    return SignedGraph(graph.q, tuple(compress(graph.edges, merged)))
 
 
 def _solve_transpose(graph: SignedGraph,

@@ -142,35 +142,46 @@ def reference_det(rows) -> Fraction:
     return det
 
 
+def _depth_first_classes(q: int, pairs) -> list[list[int]]:
+    """Classes of the nodes 1..q joined by the ``pairs`` (i, j), by a
+    depth-first search over adjacency lists, each class sorted, listed
+    by least node; uses no connectivity code of ``bishops.signed_graph``."""
+    neighbours: dict[int, list[int]] = {v: [] for v in range(1, q + 1)}
+    for i, j in pairs:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    seen: set[int] = set()
+    classes = []
+    for start in range(1, q + 1):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, members = [start], []
+        while stack:
+            node = stack.pop()
+            members.append(node)
+            for other in neighbours[node]:
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+        classes.append(sorted(members))
+    return classes
+
+
+def reference_components(graph: SignedGraph) -> list[list[int]]:
+    """Components of the underlying graph (:func:`_depth_first_classes`)."""
+    return _depth_first_classes(graph.q,
+                                ((i, j) for i, j, _ in graph.edges))
+
+
 def reference_signed_cliques(
         graph: SignedGraph) -> tuple[list[list[int]], list[list[int]]]:
-    """(positive cliques, negative cliques) by a depth-first search over
-    each sign's adjacency lists, each clique sorted, listed by least
-    node; uses no connectivity code of ``bishops.signed_graph``."""
+    """(positive cliques, negative cliques): the classes of each sign's
+    edges (:func:`_depth_first_classes`)."""
 
     def side(sign: int) -> list[list[int]]:
-        neighbours: dict[int, list[int]] = {
-            v: [] for v in range(1, graph.q + 1)}
-        for i, j, edge_sign in graph.edges:
-            if edge_sign == sign:
-                neighbours[i].append(j)
-                neighbours[j].append(i)
-        seen: set[int] = set()
-        cliques = []
-        for start in range(1, graph.q + 1):
-            if start in seen:
-                continue
-            seen.add(start)
-            stack, clique = [start], []
-            while stack:
-                node = stack.pop()
-                clique.append(node)
-                for other in neighbours[node]:
-                    if other not in seen:
-                        seen.add(other)
-                        stack.append(other)
-            cliques.append(sorted(clique))
-        return cliques
+        return _depth_first_classes(graph.q, (
+            (i, j) for i, j, edge_sign in graph.edges if edge_sign == sign))
 
     return side(POSITIVE), side(NEGATIVE)
 

@@ -5,7 +5,7 @@ from random import Random
 from time import process_time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bishops import (
@@ -29,10 +29,11 @@ from bishops._testkit import (
     random_signed_graph,
     random_signed_tree,
 )
-from bishops.signed_graph import _frame
+from bishops.signed_graph import _forest, _frame
 
 from helpers import (
     example_clique_fixture,
+    reference_components,
     reference_irredundant_edges,
     reference_signed_cliques,
 )
@@ -79,6 +80,41 @@ def test_components():
     assert components(graph) == [[1, 2], [3], [4, 5]]
 
 
+@settings(max_examples=200, deadline=None)
+@given(signed_graphs())
+def test_components_match_reference(graph):
+    expected = reference_components(graph)
+    assert components(graph) == expected
+    assert cyclomatic(graph) == len(graph.edges) - graph.q + len(expected)
+
+
+def test_forest_labels_and_merges():
+    # (3, 5) is a parallel edge of (5, 3), and (6, 1) comes twice
+    pairs = ((5, 3), (3, 5), (6, 1), (1, 3), (6, 1), (5, 6), (2, 0))
+    labels, merged = _forest(7, pairs)
+    # classes {0, 2}, {1, 3, 5, 6} and {4}, each labelled by its least node
+    assert labels == [0, 1, 0, 1, 4, 1, 1]
+    # the greedy spanning forest: each pair that joins two classes of the
+    # pairs before it
+    assert merged == [True, False, True, True, False, False, True]
+    assert _forest(3, ()) == ([0, 1, 2], [])
+    assert _forest(0, ()) == ([], [])
+
+
+def test_forest_is_near_linear_on_a_reversed_path():
+    # the edges (k, k + 1), k descending, hang each root under the next
+    # node down, so node n sits at the foot of a chain of n nodes; each
+    # copy of the far edge (n - 1, n) then climbs it unless the finds
+    # halve the paths, which takes the pass quadratic
+    n = 8_000
+    path = [(k, k + 1, POSITIVE) for k in range(n - 1, 0, -1)]
+    graph = SignedGraph(n, tuple(path + [(n - 1, n, POSITIVE)] * n))
+    start = process_time()
+    assert components(graph) == [list(range(1, n + 1))]
+    assert irredundant_reduction(graph).edges == tuple(path)
+    assert process_time() - start < 1
+
+
 def test_rank_of_negative_digon():
     digon = SignedGraph(2, ((1, 2, POSITIVE), (1, 2, NEGATIVE)))
     assert rank(digon) == 2
@@ -121,6 +157,11 @@ def test_frame_keeps_or_drops_the_last_edge(size, edges, last, kept, circles):
 
 @settings(max_examples=200, deadline=None)
 @given(signed_graphs())
+# two negative digons joined by an edge, which the pass drops: it keeps
+# two circles in one unbalanced component, so circles count unbalanced
+# components only on an independent set
+@example(SignedGraph(6, ((1, 2, POSITIVE), (1, 2, NEGATIVE), (3, 4, POSITIVE),
+                         (3, 4, NEGATIVE), (1, 3, POSITIVE))))
 def test_frame_keeps_exactly_the_independent_sets(graph):
     # independent: the incidence matrix has full column rank; then each
     # component holds at most one circle, so the circles are |E| - |N| + c
